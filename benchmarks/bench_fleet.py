@@ -46,6 +46,7 @@ from repro.datasets.outage import generate_fleet, iter_fleet_curves
 from repro.datasets.store import EpisodeStore
 from repro.fitting.fleet import fit_fleet
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
 
 #: Model grid fitted to every episode.
@@ -95,7 +96,10 @@ def _loop_fit(store, *, engine, limit):
         for family in families:
             results.append(
                 fit_least_squares(
-                    family, curve, engine=engine, cache=False, executor="serial"
+                    family,
+                    curve,
+                    engine=engine,
+                    options=EngineOptions(cache=False, executor="serial"),
                 )
             )
         count += 1

@@ -42,8 +42,12 @@ from benchmarks.provenance import provenance_block
 from repro.analysis.experiments import table3, truncation_grid
 from repro.bench.artifact import write_bench_artifact
 from repro.fitting.cache import FitCache
+from repro.fitting.options import EngineOptions
 from repro.models.base import ResilienceModel
 from repro.utils.integrate import adaptive_quad
+
+#: Every sweep measures solving, never cache hits.
+NO_CACHE = EngineOptions(cache=False)
 
 #: Backends the sweep is timed on, serial first (the baseline).
 BACKENDS = ("serial", "thread", "process")
@@ -119,20 +123,23 @@ def _fit_params(result):
 
 def test_fit_engine(benchmark, artifact_dir):
     # -- executor sweep: serial (timed by pytest-benchmark) then pooled.
-    # cache=False throughout: the sweep measures solving on each
+    # Cache off throughout: the sweep measures solving on each
     # backend, and the second and third runs would otherwise be pure
     # cache hits (the cache's own cold/warm story lives in
     # BENCH_jacobian.json).
     backend_seconds: dict[str, float] = {}
     start = time.perf_counter()
-    serial_result = run_once(benchmark, table3, n_random_starts=4, cache=False)
+    serial_result = run_once(
+        benchmark, table3, n_random_starts=4, options=NO_CACHE
+    )
     backend_seconds["serial"] = time.perf_counter() - start
     reference = _fit_params(serial_result)
 
     for name in BACKENDS[1:]:
         start = time.perf_counter()
         result = table3(
-            n_random_starts=4, executor=name, n_workers=N_WORKERS, cache=False
+            n_random_starts=4,
+            options=NO_CACHE.replace(executor=name, n_workers=N_WORKERS),
         )
         backend_seconds[name] = time.perf_counter() - start
         assert _fit_params(result) == reference, (
@@ -150,7 +157,7 @@ def test_fit_engine(benchmark, artifact_dir):
     for engine in ("scipy", "batched", "batched"):
         start = time.perf_counter()
         engine_results[engine] = table3(
-            n_random_starts=4, cache=False, engine=engine
+            n_random_starts=4, options=NO_CACHE, engine=engine
         )
         engine_samples[engine].append(time.perf_counter() - start)
     assert engine_results["batched"].to_table() == serial_result.to_table(), (
@@ -299,11 +306,11 @@ def test_jacobian_engine(artifact_dir):
     """
     # -- analytic vs 2-point finite differences -------------------------
     start = time.perf_counter()
-    numeric_result = table3(n_random_starts=4, jac="2-point", cache=False)
+    numeric_result = table3(n_random_starts=4, jac="2-point", options=NO_CACHE)
     numeric_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    analytic_result = table3(n_random_starts=4, jac="auto", cache=False)
+    analytic_result = table3(n_random_starts=4, jac="auto", options=NO_CACHE)
     analytic_seconds = time.perf_counter() - start
 
     numeric_totals, numeric_per_fit = _fit_counters(numeric_result)
@@ -323,11 +330,11 @@ def test_jacobian_engine(artifact_dir):
     # -- fit cache: cold run populates, warm run answers from the store -
     cache = FitCache()
     start = time.perf_counter()
-    cold_result = table3(n_random_starts=4, cache=cache)
+    cold_result = table3(n_random_starts=4, options=EngineOptions(cache=cache))
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm_result = table3(n_random_starts=4, cache=cache)
+    warm_result = table3(n_random_starts=4, options=EngineOptions(cache=cache))
     warm_seconds = time.perf_counter() - start
 
     stats = cache.stats()
@@ -341,7 +348,7 @@ def test_jacobian_engine(artifact_dir):
         model_names=("wei-exp", "exp-wei"),
         datasets=("1990-93", "2007-09"),
         fractions=(0.7, 0.8, 0.9),
-        cache=False,
+        options=NO_CACHE,
     )
     warm_grid = truncation_grid(warm_start=True, **grid_kwargs)
     cold_grid = truncation_grid(warm_start=False, **grid_kwargs)

@@ -41,6 +41,9 @@ from repro.bench.artifact import write_bench_artifact
 DATASET = "1990-93"
 MODEL = "wei-exp"
 
+#: Plumbing for the cold baseline fits: no cache, no tracing.
+QUIET = EngineOptions(cache=False, trace=False)
+
 
 def _percentiles(samples: list[float]) -> dict[str, float]:
     array = np.asarray(samples, dtype=np.float64)
@@ -81,11 +84,11 @@ def _replay_with_timings() -> dict:
     for length in prefix_lengths:
         prefix = curve.head(length)
         t0 = time.perf_counter()
-        fit_least_squares(family, prefix, cache=False, trace=False)
+        fit_least_squares(family, prefix, options=QUIET)
         cold_seconds.append(time.perf_counter() - t0)
 
     final = forecaster.finalize()
-    oneshot = fit_least_squares(family, curve, cache=False, trace=False)
+    oneshot = fit_least_squares(family, curve, options=QUIET)
 
     return {
         "forecaster": forecaster,

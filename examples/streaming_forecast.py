@@ -56,7 +56,9 @@ def main() -> None:
     for key in session.keys():
         final = session[key].finalize()
         oneshot = fit_least_squares(
-            make_model(MODEL), load_recession(key), cache=False
+            make_model(MODEL),
+            load_recession(key),
+            options=EngineOptions(cache=False),
         )
         identical = final.model.params == oneshot.model.params
         print(

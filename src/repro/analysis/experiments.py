@@ -16,14 +16,18 @@ from repro.core.curve import ResilienceCurve
 from repro.datasets.recessions import RECESSION_NAMES, load_all_recessions, load_recession
 from repro.datasets.synthetic import make_shape_curve
 from repro.exceptions import DataError
-from repro.fitting.options import EngineOptions, grid_engine_kwargs
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.metrics.predictive import PredictiveMetricReport, predictive_metric_report
 from repro.models.registry import make_model
 from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import ExecutorLike, get_executor
+from repro.parallel import get_executor
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_table
-from repro.validation.crossval import PredictiveEvaluation, evaluate_predictive
+from repro.validation.crossval import (
+    PredictiveEvaluation,
+    _warm_start_kwargs,
+    evaluate_predictive,
+)
 
 __all__ = [
     "BATHTUB_MODEL_NAMES",
@@ -177,33 +181,26 @@ def _validation_sweep(
     train_fraction: float,
     confidence: float,
     title: str,
-    entry: str,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableOneResult:
     """Evaluate every (dataset, model) cell of a Table I/III-style grid.
 
-    The cells are independent fitting problems, so the grid runs on the
-    chosen executor backend; results are assembled in grid order,
-    making the table identical on every backend. Enabling tracing
-    (via ``options.trace``) additionally wraps the whole grid in one
-    ``"table.grid"`` span. An ``options=``
-    :class:`~repro.fitting.options.EngineOptions` bundle fills in any
-    of executor/n_workers/fit_kwargs not given explicitly; *entry* is
-    the public entry point named by the deprecation warning when the
-    loose plumbing kwargs are used instead.
+    The cells are independent fitting problems, so the grid runs on
+    ``options.executor``; results are assembled in grid order, making
+    the table identical on every backend. Every cell's fit receives the
+    bundle itself plus *fit_kwargs*. Enabling tracing (via
+    ``options.trace``) additionally wraps the whole grid in one
+    ``"table.grid"`` span.
     """
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry=entry
-    )
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    opts = options or DEFAULT_ENGINE_OPTIONS
+    tracer = resolve_tracer(opts.trace)
     recessions = load_all_recessions()
+    cell_kwargs = {**fit_kwargs, "options": opts}
     cells = [
         _SweepCell(
             dataset_name, curve, model_name, train_fraction, confidence,
-            dict(fit_kwargs),
+            cell_kwargs,
         )
         for dataset_name, curve in recessions.items()
         for model_name in model_names
@@ -211,7 +208,7 @@ def _validation_sweep(
     with tracer.span(
         "table.grid", title=title, n_cells=len(cells)
     ), activate(tracer):
-        evaluations = get_executor(executor, max_workers=n_workers).map(
+        evaluations = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _evaluate_cell, cells
         )
     result = TableOneResult(model_names=model_names, title=title)
@@ -225,8 +222,6 @@ def table1(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     confidence: float = 0.95,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableOneResult:
     """Table I: quadratic vs competing-risks on all seven recessions."""
@@ -235,10 +230,7 @@ def table1(
         train_fraction=train_fraction,
         confidence=confidence,
         title="Table I — Validation of prediction using two bathtub functions",
-        entry="table1",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -248,8 +240,6 @@ def table3(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     confidence: float = 0.95,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableOneResult:
     """Table III: the four mixture pairings on all seven recessions."""
@@ -258,10 +248,7 @@ def table3(
         train_fraction=train_fraction,
         confidence=confidence,
         title="Table III — Validation of prediction using mixture distributions",
-        entry="table3",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -296,25 +283,21 @@ def _metric_table(
     train_fraction: float,
     alpha: float,
     title: str,
-    entry: str,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableMetricsResult:
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry=entry
-    )
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    opts = options or DEFAULT_ENGINE_OPTIONS
+    tracer = resolve_tracer(opts.trace)
     curve = load_recession(dataset)
+    cell_kwargs = {**fit_kwargs, "options": opts}
     cells = [
-        _MetricCell(dataset, curve, model_name, train_fraction, alpha, dict(fit_kwargs))
+        _MetricCell(dataset, curve, model_name, train_fraction, alpha, cell_kwargs)
         for model_name in model_names
     ]
     with tracer.span(
         "table.metrics", title=title, n_cells=len(cells)
     ), activate(tracer):
-        reports = get_executor(executor, max_workers=n_workers).map(
+        reports = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _evaluate_metric_cell, cells
         )
     result = TableMetricsResult(dataset=dataset, title=title)
@@ -329,8 +312,6 @@ def table2(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = 0.5,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableMetricsResult:
     """Table II: interval metrics for the bathtub models on 1990-93."""
@@ -340,10 +321,7 @@ def table2(
         train_fraction=train_fraction,
         alpha=alpha,
         title="Table II — Interval-based resilience metrics (bathtub models)",
-        entry="table2",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -354,8 +332,6 @@ def table4(
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
     alpha: float = 0.5,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TableMetricsResult:
     """Table IV: interval metrics for the four mixtures on 1990-93."""
@@ -365,10 +341,7 @@ def table4(
         train_fraction=train_fraction,
         alpha=alpha,
         title="Table IV — Interval-based resilience metrics (mixture models)",
-        entry="table4",
         options=options,
-        executor=executor,
-        n_workers=n_workers,
         **fit_kwargs,
     )
 
@@ -422,6 +395,7 @@ class _TruncationChain(NamedTuple):
     confidence: float
     warm_start: bool
     warm_n_random_starts: int
+    options: EngineOptions
     fit_kwargs: dict
 
 
@@ -440,15 +414,18 @@ def _evaluate_chain(
     evaluations: dict[float, PredictiveEvaluation] = {}
     previous_optimum: tuple[float, ...] | None = None
     for fraction in chain.fractions:
-        kwargs = dict(chain.fit_kwargs)
-        if chain.warm_start and previous_optimum is not None:
-            kwargs.setdefault("extra_starts", (previous_optimum,))
-            kwargs.setdefault("n_random_starts", chain.warm_n_random_starts)
+        kwargs = _warm_start_kwargs(
+            chain.fit_kwargs,
+            chain.options,
+            previous_optimum if chain.warm_start else None,
+            chain.warm_n_random_starts,
+        )
         evaluation = evaluate_predictive(
             make_model(chain.model),
             chain.curve,
             train_fraction=fraction,
             confidence=chain.confidence,
+            options=chain.options,
             **kwargs,
         )
         evaluations[fraction] = evaluation
@@ -465,17 +442,15 @@ def truncation_grid(
     warm_start: bool = True,
     warm_n_random_starts: int = 2,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> TruncationGridResult:
     """Sweep the Table I/III protocol over several training fractions.
 
     Each (dataset, model) pair forms an independent chain that walks the
     fractions in ascending order with warm-start propagation (see
-    :func:`_evaluate_chain`); chains run in parallel on the chosen
-    executor backend. Results are assembled in grid order, so the table
-    is identical on every backend.
+    :func:`_evaluate_chain`); chains run in parallel on
+    ``options.executor``. Results are assembled in grid order, so the
+    table is identical on every backend.
 
     Parameters
     ----------
@@ -491,16 +466,14 @@ def truncation_grid(
         budget for every fraction after the first. ``warm_start=False``
         makes every cell an independent full multi-start fit.
     options:
-        :class:`~repro.fitting.options.EngineOptions` bundle; explicit
-        ``executor=``/``n_workers=``/``fit_kwargs`` win over its fields.
-        Note an explicit ``n_random_starts`` (from either source)
-        disables the warm-chain budget shrink, exactly as before.
+        :class:`~repro.fitting.options.EngineOptions` bundle handed to
+        every fit; explicit science *fit_kwargs* win over its fields.
+        An explicit ``n_random_starts`` (a kwarg or a non-default
+        options field) disables the warm-chain budget shrink.
     fit_kwargs:
         Passed through to :func:`~repro.fitting.fit_least_squares`.
     """
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry="truncation_grid"
-    )
+    opts = options or DEFAULT_ENGINE_OPTIONS
     if not fractions:
         raise DataError("truncation_grid needs at least one training fraction")
     ordered_fractions = tuple(sorted(float(f) for f in fractions))
@@ -508,11 +481,11 @@ def truncation_grid(
         recessions = load_all_recessions()
     else:
         recessions = {name: load_recession(name) for name in datasets}
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    tracer = resolve_tracer(opts.trace)
     chains = [
         _TruncationChain(
             dataset_name, curve, model_name, ordered_fractions, confidence,
-            warm_start, warm_n_random_starts, dict(fit_kwargs),
+            warm_start, warm_n_random_starts, opts, fit_kwargs,
         )
         for dataset_name, curve in recessions.items()
         for model_name in model_names
@@ -523,7 +496,7 @@ def truncation_grid(
         n_fractions=len(ordered_fractions),
         warm_start=warm_start,
     ), activate(tracer):
-        triples = get_executor(executor, max_workers=n_workers).map(
+        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _evaluate_chain, chains
         )
     result = TruncationGridResult(

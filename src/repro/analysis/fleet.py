@@ -22,12 +22,12 @@ from repro.core.episodes import Episode, split_episodes
 from repro.core.phases import detect_phases
 from repro.exceptions import ReproError
 from repro.fitting.least_squares import fit_least_squares
-from repro.fitting.options import EngineOptions, grid_engine_kwargs
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.metrics.point import rapidity, time_to_recovery
 from repro.models.registry import make_model
 from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import ExecutorLike, get_executor
+from repro.parallel import get_executor
 from repro.utils.tables import format_table
 
 __all__ = ["EpisodeScore", "EpisodeScorecard", "episode_scorecard"]
@@ -185,8 +185,6 @@ def episode_scorecard(
     min_samples: int = 4,
     recovery_level: float | None = None,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **fit_kwargs: object,
 ) -> EpisodeScorecard:
     """Build an :class:`EpisodeScorecard` for *history*.
@@ -204,19 +202,19 @@ def episode_scorecard(
     recovery_level:
         Level for the model's predicted recovery; defaults to
         ``nominal·(1 − tolerance)``.
-    executor, n_workers:
-        Backend the independent per-episode fits run on; scores are
-        assembled in episode order on every backend. A ``trace=`` entry
-        in *fit_kwargs* traces each episode's fit and wraps the whole
-        scorecard in one ``"episodes.scorecard"`` span.
     options:
-        :class:`~repro.fitting.options.EngineOptions` bundle; explicit
-        ``executor=``/``n_workers=``/``fit_kwargs`` win over its fields.
+        :class:`~repro.fitting.options.EngineOptions` bundle. The
+        independent per-episode fits run on its ``executor``/
+        ``n_workers`` (scores are assembled in episode order on every
+        backend) and each receives the bundle itself; enabling
+        ``trace`` also wraps the whole scorecard in one
+        ``"episodes.scorecard"`` span.
+    fit_kwargs:
+        Passed through to :func:`~repro.fitting.fit_least_squares`
+        (explicit science kwargs override the bundle's fields).
     """
-    executor, n_workers, fit_kwargs = grid_engine_kwargs(
-        options, executor, n_workers, fit_kwargs, entry="episode_scorecard"
-    )
-    tracer = resolve_tracer(fit_kwargs["options"].trace)
+    opts = options or DEFAULT_ENGINE_OPTIONS
+    tracer = resolve_tracer(opts.trace)
     episodes = split_episodes(
         history, tolerance=tolerance, min_depth=min_depth, min_samples=min_samples
     )
@@ -225,8 +223,9 @@ def episode_scorecard(
         if recovery_level is None
         else float(recovery_level)
     )
+    fit_kwargs = {**fit_kwargs, "options": opts}
     work_units = [
-        _EpisodeWork(episode, model, tolerance, level, dict(fit_kwargs))
+        _EpisodeWork(episode, model, tolerance, level, fit_kwargs)
         for episode in episodes
     ]
     with tracer.span(
@@ -235,7 +234,7 @@ def episode_scorecard(
         n_episodes=len(work_units),
         model=model,
     ), activate(tracer):
-        scores = get_executor(executor, max_workers=n_workers).map(
+        scores = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _score_episode, work_units
         )
     return EpisodeScorecard(

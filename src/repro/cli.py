@@ -69,8 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["main", "build_parser"]
 
 
-def _add_executor_arguments(command: argparse.ArgumentParser) -> None:
-    """Attach the shared parallel-backend knobs to a subcommand."""
+def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
+    """Attach the shared solver/cache/trace knobs to a subcommand."""
     command.add_argument(
         "--engine",
         choices=ENGINE_NAMES,
@@ -80,24 +80,6 @@ def _add_executor_arguments(command: argparse.ArgumentParser) -> None:
             "'batched' screens all multi-start candidates in one "
             "vectorized solve and produces identical results"
         ),
-    )
-    command.add_argument(
-        "--executor",
-        choices=available_backends(),
-        default=None,
-        help=(
-            "backend the independent fits run on (default: "
-            "$REPRO_FIT_EXECUTOR or serial); results are identical on "
-            "every backend"
-        ),
-    )
-    command.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for thread/process backends "
-        "(default: $REPRO_FIT_WORKERS or the CPU count)",
     )
     command.add_argument(
         "--cache",
@@ -138,6 +120,30 @@ def _add_executor_arguments(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_grid_arguments(command: argparse.ArgumentParser) -> None:
+    """Attach the engine knobs plus the parallel backend to a subcommand
+    that runs many independent fits (grid cells, episodes, refits)."""
+    _add_engine_arguments(command)
+    command.add_argument(
+        "--executor",
+        choices=available_backends(),
+        default=None,
+        help=(
+            "backend the independent fits run on (default: "
+            "$REPRO_FIT_EXECUTOR or serial); results are identical on "
+            "every backend"
+        ),
+    )
+    command.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker count for thread/process backends "
+        "(default: $REPRO_FIT_WORKERS or the CPU count)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -168,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the eight interval-based resilience metrics",
     )
-    _add_executor_arguments(fit)
+    _add_engine_arguments(fit)
 
     recommend = sub.add_parser(
         "recommend", help="recommend the best model for a dataset"
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="competing_risks",
         help="model fitted to each episode (default competing_risks)",
     )
-    _add_executor_arguments(episodes)
+    _add_grid_arguments(episodes)
 
     serve = sub.add_parser(
         "serve-replay",
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the JSONL to PATH instead of stdout",
     )
-    _add_executor_arguments(serve)
+    _add_grid_arguments(serve)
 
     server = sub.add_parser(
         "serve",
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="cadence of the auto-remediation loop (default: off)",
     )
-    _add_executor_arguments(server)
+    _add_grid_arguments(server)
 
     serve_load = sub.add_parser(
         "serve-load",
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="quadratic",
         help="model family for the load run (default quadratic)",
     )
-    _add_executor_arguments(serve_load)
+    _add_grid_arguments(serve_load)
 
     make_fleet = sub.add_parser(
         "make-fleet",
@@ -502,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the JSON summary to PATH instead of stdout",
     )
-    _add_executor_arguments(fit_fleet)
+    _add_grid_arguments(fit_fleet)
 
     table = sub.add_parser("table", help="regenerate a table from the paper")
     table.add_argument("number", choices=["1", "2", "3", "4", "I", "II", "III", "IV"])
@@ -512,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--json", metavar="PATH", help="also write the table rows as JSON"
     )
-    _add_executor_arguments(table)
+    _add_grid_arguments(table)
 
     figure = sub.add_parser("figure", help="regenerate a figure from the paper")
     figure.add_argument("number", type=int, choices=range(1, 7))
 
     report = sub.add_parser("report", help="regenerate every table and figure")
-    _add_executor_arguments(report)
+    _add_grid_arguments(report)
 
     lint = sub.add_parser(
         "lint",
@@ -555,8 +561,7 @@ def _engine_options(args: argparse.Namespace) -> "EngineOptions":
 
     ``--options-file`` (when given) supplies the base bundle; every
     explicit flag overrides the corresponding field. The entry points
-    take only this bundle — the CLI never passes the deprecated loose
-    plumbing kwargs.
+    take the engine plumbing only through this bundle.
     """
     from repro.fitting.options import EngineOptions
 
@@ -564,7 +569,7 @@ def _engine_options(args: argparse.Namespace) -> "EngineOptions":
         try:
             with open(args.options_file, "r", encoding="utf-8") as handle:
                 base = EngineOptions.from_json(handle.read())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ReproError) as exc:
             raise DataError(f"--options-file {args.options_file}: {exc}") from exc
     else:
         base = EngineOptions()

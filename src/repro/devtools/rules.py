@@ -9,8 +9,8 @@ Rule id   Name                Invariant enforced
                               calls — global-state RNG breaks bit-identical
                               reproduction.
 ``R3``    options-threading   Every public fit/grid/serving entry point accepts
-                              ``options=`` and threads ``cache``/``trace``/
-                              ``executor`` (serving accepts *only* options).
+                              ``options=`` and takes no loose ``cache``/
+                              ``trace``/``executor``/``n_workers`` parameter.
 ``R4``    picklability        Callables handed to an executor ``map``/``submit``
                               must be module-level (the process backend pickles
                               them).
@@ -40,6 +40,7 @@ from repro.devtools.findings import Finding
 __all__ = [
     "ALL_RULES",
     "DeterminismRule",
+    "ENGINE_PLUMBING",
     "EntryPointSpec",
     "EnvBoundaryRule",
     "ExceptionHygieneRule",
@@ -74,8 +75,8 @@ class EntryPointSpec:
 
     ``qualname`` is a module-level function name or
     ``Class.method``; ``required`` parameters must appear in the
-    signature, ``forbidden`` parameters must not (the serving layer
-    takes engine configuration *only* as ``options=``).
+    signature, ``forbidden`` parameters must not (engine plumbing
+    travels *only* as ``options=``).
     """
 
     module: str
@@ -126,9 +127,9 @@ class LintConfig:
     entry_points:
         Signature contracts checked by R3.
     threading_prefixes:
-        Path prefixes whose public functions must pair any
-        ``cache``/``trace``/``executor`` parameter with ``options`` (R3
-        heuristic).
+        Path prefixes whose public functions may take no engine-plumbing
+        parameter and must pair an ``engine`` parameter with
+        ``options`` (R3 heuristic).
     fit_path_prefixes:
         Path prefixes where a no-op ``except`` body counts as a
         swallowed exception (R6).
@@ -171,27 +172,26 @@ class LintConfig:
     protocols: tuple[ProtocolSpec, ...] = ()
 
 
+#: The process plumbing that travels only inside ``options=`` (R3).
+ENGINE_PLUMBING = frozenset({"cache", "trace", "executor", "n_workers"})
+
+
 def default_config() -> LintConfig:
     """The invariants of this repository."""
-    fit_knobs = frozenset({"options", "engine", "cache", "trace", "executor"})
-    grid = frozenset({"options", "executor", "n_workers"})
-    only_options = frozenset({"engine", "cache", "trace", "executor", "n_workers"})
+    def entry(module: str, qualname: str, *extra: str) -> EntryPointSpec:
+        return EntryPointSpec(
+            f"src/repro/{module}",
+            qualname,
+            required=frozenset({"options", *extra}),
+            forbidden=ENGINE_PLUMBING,
+        )
+
     return LintConfig(
         env_allowlist=frozenset({"src/repro/_env.py"}),
         entry_points=(
-            EntryPointSpec(
-                "src/repro/fitting/least_squares.py",
-                "fit_least_squares",
-                required=fit_knobs | {"n_workers"},
-            ),
-            EntryPointSpec(
-                "src/repro/fitting/least_squares.py", "fit_many", required=grid
-            ),
-            EntryPointSpec(
-                "src/repro/fitting/fleet.py",
-                "fit_fleet",
-                required=fit_knobs | {"n_workers", "chunk_size"},
-            ),
+            entry("fitting/least_squares.py", "fit_least_squares", "engine"),
+            entry("fitting/least_squares.py", "fit_many"),
+            entry("fitting/fleet.py", "fit_fleet", "engine", "chunk_size"),
             EntryPointSpec(
                 "src/repro/datasets/outage.py",
                 "generate_fleet",
@@ -202,64 +202,36 @@ def default_config() -> LintConfig:
                 "EpisodeStoreWriter.__init__",
                 required=frozenset({"seed", "config"}),
             ),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table1", required=grid),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table2", required=grid),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table3", required=grid),
-            EntryPointSpec("src/repro/analysis/experiments.py", "table4", required=grid),
-            EntryPointSpec(
-                "src/repro/analysis/experiments.py", "truncation_grid", required=grid
-            ),
-            EntryPointSpec(
-                "src/repro/analysis/fleet.py", "episode_scorecard", required=grid
-            ),
-            EntryPointSpec(
-                "src/repro/analysis/pipeline.py",
-                "run_full_reproduction",
-                required=grid,
-            ),
-            EntryPointSpec(
-                "src/repro/validation/crossval.py",
-                "rolling_origin",
-                required=frozenset({"options"}),
-            ),
-            EntryPointSpec(
-                "src/repro/serving/online.py",
-                "OnlineForecaster.__init__",
-                required=frozenset({"options"}),
-                forbidden=only_options,
-            ),
-            EntryPointSpec(
-                "src/repro/serving/session.py",
-                "ForecastSession.__init__",
-                required=frozenset({"options"}),
-                forbidden=only_options,
-            ),
-            EntryPointSpec(
-                "src/repro/serving/replay.py",
-                "replay_forecasts",
-                required=frozenset({"options"}),
-                forbidden=only_options,
-            ),
+            entry("analysis/experiments.py", "table1"),
+            entry("analysis/experiments.py", "table2"),
+            entry("analysis/experiments.py", "table3"),
+            entry("analysis/experiments.py", "table4"),
+            entry("analysis/experiments.py", "truncation_grid"),
+            entry("analysis/fleet.py", "episode_scorecard"),
+            entry("analysis/pipeline.py", "run_full_reproduction"),
+            entry("validation/crossval.py", "evaluate_predictive"),
+            entry("validation/crossval.py", "rolling_origin"),
+            entry("validation/bootstrap.py", "residual_bootstrap"),
+            entry("fitting/uncertainty.py", "derived_quantity_interval"),
+            entry("serving/online.py", "OnlineForecaster.__init__"),
+            entry("serving/session.py", "ForecastSession.__init__"),
+            entry("serving/replay.py", "replay_forecasts"),
             EntryPointSpec(
                 "src/repro/serving/server.py",
                 "ForecastServer.__init__",
-                forbidden=only_options,
+                forbidden=ENGINE_PLUMBING,
             ),
             EntryPointSpec(
                 "src/repro/serving/remediation.py",
                 "RemediationLoop.__init__",
-                forbidden=only_options,
+                forbidden=ENGINE_PLUMBING,
             ),
-            EntryPointSpec(
-                "src/repro/bench/runner.py",
-                "run_matrix",
-                required=frozenset({"options"}),
-                forbidden=only_options,
-            ),
+            entry("bench/runner.py", "run_matrix"),
         ),
         threading_prefixes=(
             "src/repro/fitting/",
             "src/repro/analysis/",
+            "src/repro/validation/",
             "src/repro/serving/",
             "src/repro/bench/",
         ),
@@ -542,17 +514,14 @@ class DeterminismRule:
 # R3 — options threading
 # ----------------------------------------------------------------------
 class OptionsThreadingRule:
-    """Entry points accept ``options=`` and thread the engine knobs."""
+    """Entry points take engine plumbing only through ``options=``."""
 
     RULE_ID = "R3"
     NAME = "options-threading"
     DESCRIPTION = (
         "public fit/grid/serving entry points must accept options= and "
-        "forward cache/trace/executor; serving entry points accept "
-        "engine configuration only as options"
+        "take no loose cache/trace/executor/n_workers parameter"
     )
-
-    _ENGINE_KNOBS = frozenset({"engine", "cache", "trace", "executor"})
 
     def check(self, module: ModuleSource, config: LintConfig) -> list[Finding]:
         findings: list[Finding] = []
@@ -611,19 +580,28 @@ class OptionsThreadingRule:
                 if node.name.startswith("_") or node.name in covered:
                     continue
                 params = _function_params(node)
-                if params & self._ENGINE_KNOBS and "options" not in params:
-                    findings.append(
-                        Finding(
-                            path=module.relpath,
-                            line=node.lineno,
-                            rule=self.RULE_ID,
-                            message=(
-                                f"public function {node.name} takes engine "
-                                "knobs but no options= parameter"
-                            ),
-                            hint="accept options= and merge via override()",
-                        )
+                plumbing = sorted(params & ENGINE_PLUMBING)
+                if plumbing:
+                    message = (
+                        f"public function {node.name} takes engine plumbing "
+                        f"parameter(s) {', '.join(plumbing)}"
                     )
+                elif "engine" in params and "options" not in params:
+                    message = (
+                        f"public function {node.name} takes engine= but no "
+                        "options= parameter"
+                    )
+                else:
+                    continue
+                findings.append(
+                    Finding(
+                        path=module.relpath,
+                        line=node.lineno,
+                        rule=self.RULE_ID,
+                        message=message,
+                        hint="accept options= and read the plumbing from it",
+                    )
+                )
         return findings
 
     @staticmethod

@@ -328,22 +328,20 @@ def default_fit_cache() -> FitCache | None:
         return _default_cache
 
 
-def resolve_cache(  # repro-lint: disable=R3 — this *is* the cache resolver options= delegates to
-    cache: "bool | FitCache | None",
-) -> FitCache | None:
-    """Map a ``cache=`` argument onto a concrete cache (or None).
+def resolve_cache(spec: "bool | FitCache | None") -> FitCache | None:
+    """Map an ``EngineOptions.cache`` value onto a concrete cache (or None).
 
     ``None``/``True`` → the environment-configured default; ``False`` →
     no caching; a :class:`FitCache` instance → itself.
     """
-    if cache is False:
+    if spec is False:
         return None
-    if cache is None or cache is True:
+    if spec is None or spec is True:
         return default_fit_cache()
-    if isinstance(cache, FitCache):
-        return cache
+    if isinstance(spec, FitCache):
+        return spec
     raise TypeError(
-        f"cache must be a bool, None, or FitCache, got {type(cache).__name__}"
+        f"cache must be a bool, None, or FitCache, got {type(spec).__name__}"
     )
 
 

@@ -31,7 +31,8 @@ episode), keeping million-episode fleets in reach.
 
 Fleet fits default to **cache-off**: synthetic fleets never repeat a
 ``(family, curve, config)`` key, so the LRU would only churn. Pass
-``cache=True`` (or an explicit cache) to opt back in.
+``options=EngineOptions(cache=True)`` (or an explicit cache) to opt back
+in; only the ``engine="scipy"`` reference loop consults it.
 """
 
 from __future__ import annotations
@@ -57,12 +58,11 @@ from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
     EngineOptions,
-    warn_deprecated_engine_kwargs,
 )
 from repro.models.base import ResilienceModel
 from repro.models.registry import make_model
-from repro.observability.tracer import TracerLike, activate, resolve_tracer
-from repro.parallel import ExecutorLike, get_executor
+from repro.observability.tracer import activate, resolve_tracer
+from repro.parallel import get_executor
 
 __all__ = ["EpisodeFamilyFit", "FleetFitResult", "fit_fleet"]
 
@@ -287,7 +287,7 @@ class _EpisodeGridWork(NamedTuple):
 
     curve: ResilienceCurve
     families: tuple[ResilienceModel, ...]
-    fit_kwargs: dict
+    options: EngineOptions
 
 
 def _fit_episode_grid(
@@ -302,7 +302,7 @@ def _fit_episode_grid(
     rows = []
     for family in work.families:
         try:
-            fit = fit_least_squares(family, work.curve, **work.fit_kwargs)
+            fit = fit_least_squares(family, work.curve, options=work.options)
         except FitError as exc:  # includes ConvergenceError
             logger.debug(
                 "fit_fleet: %r failed on %r: %s",
@@ -353,10 +353,6 @@ def fit_fleet(
     max_nfev: int | None = None,
     jac: str | None = None,
     engine: str | None = None,
-    cache: bool | FitCache | None = None,
-    trace: TracerLike = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
 ) -> FleetFitResult:
     """Fit every *family* to every episode of a fleet.
 
@@ -370,8 +366,15 @@ def fit_fleet(
         Model grid: family instances or registry names.
     options:
         :class:`~repro.fitting.options.EngineOptions` bundle; explicit
-        kwargs below override its fields, exactly as in
-        :func:`~repro.fitting.fit_least_squares`.
+        science kwargs below override its fields, exactly as in
+        :func:`~repro.fitting.fit_least_squares`. Its ``cache``
+        defaults to **off** for fleet fits (synthetic episodes never
+        repeat a cache key; pass ``True`` or a
+        :class:`~repro.fitting.cache.FitCache` to opt in) and is
+        consulted only by ``engine="scipy"`` — the batched fleet path
+        never reads the cache. ``executor``/``n_workers`` parallelize
+        the scipy path's episode loop; ``trace`` wraps the call in one
+        ``"fit.fleet"`` span.
     chunk_size:
         Episodes fitted per batched solve. Peak memory scales with
         ``chunk_size × families × starts × grid length`` and is
@@ -391,17 +394,10 @@ def fit_fleet(
     engine:
         ``"batched"`` (cross-episode stacking, the point of this
         function) or ``"scipy"`` (the per-episode reference loop,
-        parallelized over *executor*). ``None`` defers to
+        parallelized over ``options.executor``). ``None`` defers to
         ``options.engine`` then ``REPRO_FIT_ENGINE``.
-    cache:
-        Defaults to **off** for fleet fits (synthetic episodes never
-        repeat a cache key); pass ``True`` or a
-        :class:`~repro.fitting.cache.FitCache` to opt in.
-    trace, executor, n_workers, n_random_starts, seed, max_nfev, jac:
-        As in :func:`~repro.fitting.fit_least_squares` — including the
-        deprecation: loose ``cache=``/``trace=``/``executor=``/
-        ``n_workers=`` still work but draw a ``DeprecationWarning``;
-        put the plumbing in ``options=``.
+    n_random_starts, seed, max_nfev, jac:
+        As in :func:`~repro.fitting.fit_least_squares`.
 
     Returns
     -------
@@ -409,33 +405,16 @@ def fit_fleet(
         Columnar per-(episode, family) parameters, SSE, convergence
         flags, and evaluation counts.
     """
-    warn_deprecated_engine_kwargs(
-        "fit_fleet",
-        [
-            name
-            for name, value in (
-                ("cache", cache),
-                ("trace", trace),
-                ("executor", executor),
-                ("n_workers", n_workers),
-            )
-            if value is not None
-        ],
-    )
     opts = (options or DEFAULT_OPTIONS).override(
         n_random_starts=n_random_starts,
         seed=seed,
         max_nfev=max_nfev,
         jac=jac,
         engine=engine,
-        cache=cache,
-        trace=trace,
-        executor=executor,
-        n_workers=n_workers,
     )
-    # The fleet-specific default: no caching unless explicitly chosen
-    # via the kwarg or the options bundle (None normally means "defer
-    # to the environment default cache").
+    # The fleet-specific default: no caching unless the options bundle
+    # chooses it (None normally means "defer to the environment default
+    # cache").
     fleet_cache: bool | FitCache = False if opts.cache is None else opts.cache
     if chunk_size < 1:
         raise FitError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -680,22 +659,9 @@ def _fit_chunk_scipy(
     executor; results are reduced in episode order, identical on every
     backend.
     """
-    fit_kwargs: dict[str, Any] = {
-        "n_random_starts": opts.n_random_starts,
-        "seed": opts.seed,
-        "max_nfev": opts.max_nfev,
-        "jac": opts.jac,
-        "engine": "scipy",
-        # Per-episode plumbing: the episode loop above is the parallel
-        # dimension, so each fit runs serially with the chunk's cache
-        # and tracer settings.
-        "options": DEFAULT_OPTIONS.override(
-            cache=fleet_cache, trace=opts.trace, executor="serial"
-        ),
-    }
+    fit_options = opts.replace(engine="scipy", cache=fleet_cache)
     work_units = [
-        _EpisodeGridWork(curve, tuple(families), dict(fit_kwargs))
-        for curve in chunk
+        _EpisodeGridWork(curve, tuple(families), fit_options) for curve in chunk
     ]
     with activate(tracer):
         grids = get_executor(opts.executor, max_workers=opts.n_workers).map(

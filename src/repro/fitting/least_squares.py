@@ -2,10 +2,10 @@
 
 ``fit_least_squares`` minimizes ``Σᵢ (R(tᵢ) − P(tᵢ))²`` over the
 model's bounded parameter space with scipy's trust-region-reflective
-least squares, trying every multi-start point and keeping the best
-optimum. The starts are independent problems, so they can run on any
-:class:`~repro.parallel.FitExecutor` backend; results are reduced in
-start order, making the outcome identical on every backend.
+least squares, trying every multi-start point in order and keeping
+the best optimum. Parallelism lives one level up: the grid entry points
+(:func:`fit_many`, the table sweeps, the episode scorecard) run whole
+fits as independent cells on a :class:`~repro.parallel.FitExecutor`.
 
 Two layers keep the engine cheap:
 
@@ -54,20 +54,11 @@ from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
     EngineOptions,
-    grid_engine_kwargs,
-    warn_deprecated_engine_kwargs,
 )
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
-from repro.observability.tracer import (
-    NULL_TRACER,
-    Tracer,
-    TracerLike,
-    activate,
-    deactivate,
-    resolve_tracer,
-)
-from repro.parallel import ExecutorLike, get_executor
+from repro.observability.tracer import NULL_TRACER, activate, resolve_tracer
+from repro.parallel import get_executor
 
 __all__ = ["fit_least_squares", "fit_many", "FitManyResult"]
 
@@ -81,9 +72,6 @@ logger = logging.getLogger("repro.fitting")
 #: origin (feasible vectors in every family are bounded well below the
 #: scales that overflow), letting the solver walk out of the pocket.
 _PENALTY_SCALE = 1e6
-
-#: Recognized ``jac=`` modes for :func:`fit_least_squares`.
-_JAC_MODES = ("auto", "analytic", "2-point")
 
 #: Relative SSE band for multi-start winner selection. Several starts
 #: routinely converge into the *same* basin, where their objectives
@@ -113,8 +101,8 @@ def _penalty_gradient(vector: np.ndarray) -> np.ndarray:
 class _StartOutcome(NamedTuple):
     """Per-start optimizer outcome; ``vector`` is None when the start
     raised or produced a non-finite objective. ``seconds`` is the
-    start's wall time, measured inside the work unit so it survives the
-    trip through any executor backend and can be traced by the parent."""
+    start's wall time, measured inside the solve so the caller can
+    trace it."""
 
     sse: float
     vector: tuple[float, ...] | None
@@ -125,22 +113,17 @@ class _StartOutcome(NamedTuple):
     seconds: float
 
 
-class _StartWork(NamedTuple):
-    """Picklable work unit: one optimizer run from one start."""
-
-    family: ResilienceModel
-    curve: ResilienceCurve
-    x0: tuple[float, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    max_nfev: int
-    sqrt_weights: tuple[float, ...] | None
-    jac_mode: str
-
-
-def _solve_start(work: _StartWork) -> _StartOutcome:
-    """Run one bounded least-squares solve (module-level so the process
-    backend can pickle it).
+def _solve_start(
+    family: ResilienceModel,
+    curve: ResilienceCurve,
+    x0: tuple[float, ...],
+    lower_bounds: tuple[float, ...],
+    upper_bounds: tuple[float, ...],
+    max_nfev: int,
+    sqrt_weights: tuple[float, ...] | None,
+    jac_mode: str,
+) -> _StartOutcome:
+    """Run one bounded least-squares solve from the start *x0*.
 
     The residual-evaluation counter lives here rather than trusting
     ``solution.nfev``: scipy's trf does *not* count the residual calls
@@ -149,14 +132,10 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
     analytic-vs-FD comparison honest.
     """
     t0 = time.perf_counter()
-    family = work.family
-    curve = work.curve
-    lower = np.asarray(work.lower, dtype=np.float64)
-    upper = np.asarray(work.upper, dtype=np.float64)
-    sqrt_weights = (
-        None
-        if work.sqrt_weights is None
-        else np.asarray(work.sqrt_weights, dtype=np.float64)
+    lower = np.asarray(lower_bounds, dtype=np.float64)
+    upper = np.asarray(upper_bounds, dtype=np.float64)
+    weights = (
+        None if sqrt_weights is None else np.asarray(sqrt_weights, dtype=np.float64)
     )
     counters = {"nfev": 0, "njev": 0}
 
@@ -166,8 +145,8 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
         bad = ~np.isfinite(residuals)
         if bad.any():
             residuals = np.where(bad, _penalty_value(vector), residuals)
-        if sqrt_weights is not None:
-            residuals = residuals * sqrt_weights
+        if weights is not None:
+            residuals = residuals * weights
         return residuals
 
     def analytic_jac(vector: np.ndarray) -> np.ndarray:
@@ -180,20 +159,20 @@ def _solve_start(work: _StartWork) -> _StartOutcome:
             # gradient so the solver still sees a downhill direction.
             jac[bad, :] = _penalty_gradient(vector)
         jac = np.where(np.isfinite(jac), jac, 0.0)
-        if sqrt_weights is not None:
-            jac = jac * sqrt_weights[:, np.newaxis]
+        if weights is not None:
+            jac = jac * weights[:, np.newaxis]
         return jac
 
-    jac_arg: Any = analytic_jac if work.jac_mode == "analytic" else "2-point"
-    x0 = np.clip(np.asarray(work.x0, dtype=np.float64), lower, upper)
+    jac_arg: Any = analytic_jac if jac_mode == "analytic" else "2-point"
+    start = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     try:
         solution = optimize.least_squares(
             objective,
-            x0,
+            start,
             jac=jac_arg,
             bounds=(lower, upper),
             method="trf",
-            max_nfev=work.max_nfev,
+            max_nfev=max_nfev,
             # Far below the 8-decimal precision tables are rendered at,
             # so the analytic and finite-difference Jacobian modes stop
             # at the same optimum and render identical artifacts.
@@ -261,10 +240,10 @@ def _select_and_confirm(
 ) -> _WinnerSelection:
     """Reduce multi-start *outcomes* to the final optimum.
 
-    Reduction happens in start order — identical on every backend
-    regardless of which produced the outcomes. The winner is the
-    earliest start whose SSE lies within the ``_REDUCE_RTOL`` band of
-    the best (see the constant's rationale), not the strict argmin.
+    Reduction happens in start order, whichever engine produced the
+    outcomes. The winner is the earliest start whose SSE lies within the
+    ``_REDUCE_RTOL`` band of the best (see the constant's rationale),
+    not the strict argmin.
     Under ``engine_mode == "batched"`` the winning start is then
     re-solved by scipy from its original x0 (the screen-then-confirm
     contract), and 2-point winners of analytic families are polished.
@@ -323,10 +302,8 @@ def _select_and_confirm(
             if outcome.vector is None or outcome.sse > threshold:
                 continue
             confirm = _solve_start(
-                _StartWork(
-                    family, curve, start_vectors[index], lower, upper,
-                    max_nfev, sqrt_weights, jac_mode,
-                )
+                family, curve, start_vectors[index], lower, upper,
+                max_nfev, sqrt_weights, jac_mode,
             )
             confirm_nfev += confirm.nfev
             confirm_njev += confirm.njev
@@ -353,10 +330,8 @@ def _select_and_confirm(
             # result is still a scipy-converged point, and keep the
             # best confirmation if that somehow does better.
             rescue = _solve_start(
-                _StartWork(
-                    family, curve, best_vector, lower, upper, max_nfev,
-                    sqrt_weights, jac_mode,
-                )
+                family, curve, best_vector, lower, upper, max_nfev,
+                sqrt_weights, jac_mode,
             )
             confirm_nfev += rescue.nfev
             confirm_njev += rescue.njev
@@ -385,10 +360,8 @@ def _select_and_confirm(
     needs_polish = jac_mode == "2-point" and family.has_analytic_jacobian
     if needs_polish:
         polish = _solve_start(
-            _StartWork(
-                family, curve, best_vector, lower, upper, max_nfev,
-                sqrt_weights, "analytic",
-            )
+            family, curve, best_vector, lower, upper, max_nfev,
+            sqrt_weights, "analytic",
         )
         polish_nfev, polish_njev = polish.nfev, polish.njev
         if tracer.enabled:
@@ -420,9 +393,8 @@ def _select_and_confirm(
 
 
 def _resolve_jac_mode(family: ResilienceModel, jac: str) -> str:
-    """Map the user-facing ``jac=`` choice onto a concrete mode."""
-    if jac not in _JAC_MODES:
-        raise FitError(f"jac must be one of {_JAC_MODES}, got {jac!r}")
+    """Map the user-facing ``jac=`` choice (already validated by
+    :class:`~repro.fitting.options.EngineOptions`) onto a concrete mode."""
     if jac == "auto":
         return "analytic" if family.has_analytic_jacobian else "2-point"
     if jac == "analytic" and not family.has_analytic_jacobian:
@@ -446,10 +418,6 @@ def fit_least_squares(
     weights: Sequence[float] | None = None,
     jac: str | None = None,
     engine: str | None = None,
-    cache: bool | FitCache | None = None,
-    trace: TracerLike = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
 ) -> FitResult:
     """Fit *family* to *curve* by bounded least squares.
 
@@ -462,10 +430,18 @@ def fit_least_squares(
         :meth:`~repro.core.curve.ResilienceCurve.train_test_split`.
     options:
         An :class:`~repro.fitting.options.EngineOptions` bundle holding
-        the engine knobs in one value. Any individual kwarg below that
-        is passed explicitly overrides the corresponding options field;
+        the engine knobs in one value. Any science kwarg below that is
+        passed explicitly overrides the corresponding options field;
         fields left at their defaults behave exactly like omitting the
-        kwarg.
+        kwarg. The bundle is the only way to configure the plumbing:
+        ``cache`` (``None``/``True`` use the environment-default
+        :class:`~repro.fitting.cache.FitCache`, ``False`` bypasses it;
+        hits are bit-identical with ``details["cache_hit"] = True``) and
+        ``trace`` (when enabled, the fit emits one ``"fit"`` span with
+        nfev/njev/jac-mode/cache-hit attribution plus one
+        ``"fit.start"`` span per multi-start solve). Its ``executor``
+        and ``n_workers`` do not apply to a single fit, whose starts
+        always run in order in the calling thread.
     n_random_starts:
         Perturbed variants per heuristic seed (see
         :func:`~repro.fitting.multistart.generate_starts`). 0 uses only
@@ -507,39 +483,6 @@ def fit_least_squares(
         ``None`` defers to
         ``options.engine`` and then the ``REPRO_FIT_ENGINE``
         environment variable (default ``"scipy"``).
-    cache:
-        Fit memoization: ``None``/``True`` use the environment-default
-        :class:`~repro.fitting.cache.FitCache` (``REPRO_FIT_CACHE``),
-        ``False`` bypasses caching, and an explicit
-        :class:`~repro.fitting.cache.FitCache` uses that instance.
-        Hits return a result bit-identical to the original solve with
-        ``details["cache_hit"] = True``.
-    trace:
-        Observability: ``None`` uses the environment default
-        (``REPRO_TRACE`` / ``REPRO_TRACE_FILE`` — disabled when unset),
-        ``False`` disables tracing, ``True`` uses the process-global
-        tracer, and an explicit
-        :class:`~repro.observability.Tracer` records into that
-        instance. When enabled, the fit emits one ``"fit"`` span (with
-        nfev/njev/jac-mode/cache-hit attribution) plus one
-        ``"fit.start"`` span per multi-start solve.
-    executor:
-        Backend the independent multi-start solves run on: ``"serial"``
-        (default), ``"thread"``, ``"process"``, or a
-        :class:`~repro.parallel.FitExecutor` instance. Results are
-        reduced in start order, so every backend returns the same fit.
-    n_workers:
-        Worker count for the pooled backends.
-
-    .. deprecated::
-        Passing ``cache=``, ``trace=``, ``executor=``, or
-        ``n_workers=`` as loose keyword arguments draws a
-        ``DeprecationWarning``; put the plumbing in ``options=``
-        (``EngineOptions(cache=..., trace=..., executor=...,
-        n_workers=...)``) instead. The values are still honored
-        exactly as before. The per-fit science knobs (``jac``,
-        ``engine``, ``seed``, ``n_random_starts``, ``max_nfev``)
-        remain first-class kwargs.
 
     Returns
     -------
@@ -554,65 +497,27 @@ def fit_least_squares(
     ------
     FitError
         If the curve contains non-finite values or fewer observations
-        than parameters, or the ``jac``/``cache`` arguments are invalid.
+        than parameters, or the ``jac``/``engine`` arguments are invalid.
     ConvergenceError
         If every start fails to produce a finite optimum.
     """
-    warn_deprecated_engine_kwargs(
-        "fit_least_squares",
-        [
-            name
-            for name, value in (
-                ("cache", cache),
-                ("trace", trace),
-                ("executor", executor),
-                ("n_workers", n_workers),
-            )
-            if value is not None
-        ],
-    )
     opts = (options or DEFAULT_OPTIONS).override(
         n_random_starts=n_random_starts,
         seed=seed,
         max_nfev=max_nfev,
         jac=jac,
         engine=engine,
-        cache=cache,
-        trace=trace,
-        executor=executor,
-        n_workers=n_workers,
     )
-    n_random_starts = opts.n_random_starts
-    seed = opts.seed
-    max_nfev = opts.max_nfev
-    jac = opts.jac
-    engine = opts.engine
-    # ``False`` is a meaningful override for cache/trace, so take the
-    # merged fields verbatim rather than re-filtering through ``None``.
-    cache = opts.cache
-    trace = opts.trace
-    executor = opts.executor
-    n_workers = opts.n_workers
-    tracer = resolve_tracer(trace)
+    solve_kwargs: dict[str, Any] = dict(
+        n_random_starts=opts.n_random_starts, seed=opts.seed,
+        max_nfev=opts.max_nfev, starts=starts, extra_starts=extra_starts,
+        weights=weights, jac=opts.jac, engine=opts.engine, cache=opts.cache,
+    )
+    tracer = resolve_tracer(opts.trace)
     if not tracer.enabled:
-        if trace is False:
-            # Explicit opt-out also masks any ambient tracer so nothing
-            # below this fit (e.g. the executor) emits spans for it.
-            with deactivate():
-                return _fit_least_squares(
-                    family, curve, n_random_starts=n_random_starts, seed=seed,
-                    max_nfev=max_nfev, starts=starts, extra_starts=extra_starts,
-                    weights=weights, jac=jac, engine=engine, cache=cache,
-                    executor=executor, n_workers=n_workers, tracer=NULL_TRACER,
-                )
         # No-op fast path: skip span construction entirely so the
         # disabled overhead stays within noise on the table workloads.
-        return _fit_least_squares(
-            family, curve, n_random_starts=n_random_starts, seed=seed,
-            max_nfev=max_nfev, starts=starts, extra_starts=extra_starts,
-            weights=weights, jac=jac, engine=engine, cache=cache,
-            executor=executor, n_workers=n_workers, tracer=NULL_TRACER,
-        )
+        return _fit_least_squares(family, curve, tracer=NULL_TRACER, **solve_kwargs)
     start_time = time.perf_counter()
     with tracer.span(
         "fit",
@@ -620,12 +525,7 @@ def fit_least_squares(
         curve=curve.name or "<curve>",
         n_points=len(curve),
     ) as span:
-        result = _fit_least_squares(
-            family, curve, n_random_starts=n_random_starts, seed=seed,
-            max_nfev=max_nfev, starts=starts, extra_starts=extra_starts,
-            weights=weights, jac=jac, engine=engine, cache=cache,
-            executor=executor, n_workers=n_workers, tracer=tracer,
-        )
+        result = _fit_least_squares(family, curve, tracer=tracer, **solve_kwargs)
         details = result.details
         span.set(
             sse=result.sse,
@@ -658,8 +558,6 @@ def _fit_least_squares(
     jac: str,
     engine: str | None,
     cache: bool | FitCache | None,
-    executor: ExecutorLike,
-    n_workers: int | None,
     tracer: Any,
 ) -> FitResult:
     """The untraced fit body; *tracer* is already resolved (possibly
@@ -786,16 +684,12 @@ def _fit_least_squares(
         ]
         outcomes = solve_batched(problems)
     else:
-        work_units = [
-            _StartWork(
+        outcomes = [
+            _solve_start(
                 family, curve, start, lower, upper, max_nfev, sqrt_weights, jac_mode
             )
             for start in start_vectors
         ]
-        with activate(tracer):
-            outcomes = get_executor(executor, max_workers=n_workers).map(
-                _solve_start, work_units
-            )
 
     if tracer.enabled:
         for index, outcome in enumerate(outcomes):
@@ -970,8 +864,6 @@ def fit_many(
     curve: ResilienceCurve,
     *,
     options: EngineOptions | None = None,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
     **kwargs: object,
 ) -> FitManyResult:
     """Fit several families to the same curve.
@@ -984,30 +876,24 @@ def fit_many(
     Parameters
     ----------
     options:
-        :class:`~repro.fitting.options.EngineOptions` bundle. Its
-        executor fields drive the family loop below (unless overridden
-        by the explicit ``executor=``/``n_workers=``); the remaining
-        non-default fields are forwarded into each per-family fit,
-        under any explicit ``kwargs``.
-    executor, n_workers:
-        Backend for the per-family fits (each family is an independent
-        problem). The per-family fits themselves run serially when the
-        family loop is parallelized.
+        :class:`~repro.fitting.options.EngineOptions` bundle. Each
+        family is an independent fit, so the family loop runs on its
+        ``executor``/``n_workers``; every per-family fit receives the
+        bundle itself. Enabling ``trace`` both traces each per-family
+        fit and wraps the whole call in one ``"fit.many"`` span.
     kwargs:
-        Passed through to :func:`fit_least_squares`. Enabling tracing
-        (``options.trace``, or the deprecated loose ``trace=`` kwarg)
-        both traces each per-family fit and wraps the whole call in
-        one ``"fit.many"`` span.
+        Passed through to :func:`fit_least_squares` (explicit science
+        kwargs override the bundle's fields there).
     """
-    executor, n_workers, kwargs = grid_engine_kwargs(
-        options, executor, n_workers, kwargs, entry="fit_many"
-    )
-    tracer = resolve_tracer(kwargs["options"].trace)
-    work_units = [_FamilyWork(family, curve, dict(kwargs)) for family in families]
+    opts = options or DEFAULT_OPTIONS
+    tracer = resolve_tracer(opts.trace)
+    work_units = [
+        _FamilyWork(family, curve, {**kwargs, "options": opts}) for family in families
+    ]
     with tracer.span(
         "fit.many", n_families=len(work_units), curve=curve.name or "<curve>"
     ), activate(tracer):
-        triples = get_executor(executor, max_workers=n_workers).map(
+        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
             _fit_family, work_units
         )
     result = FitManyResult()

@@ -1,62 +1,73 @@
 """The :class:`EngineOptions` bundle — one object for every fit-engine knob.
 
-Every entry point that drives the fit engine historically grew the same
-tail of keyword arguments (``jac=``, ``engine=``, ``cache=``,
-``trace=``, ``executor=``, ``n_workers=``, ``seed=``,
-``n_random_starts=``, ``max_nfev=``). :class:`EngineOptions` freezes that tail into a single
-immutable value that can be built once and handed to
+:class:`EngineOptions` freezes the fit engine's configuration (``jac``,
+``engine``, ``cache``, ``trace``, ``executor``, ``n_workers``, ``seed``,
+``n_random_starts``, ``max_nfev``) into a single immutable, validated
+value that can be built once and handed to
 :func:`~repro.fitting.fit_least_squares`, :func:`~repro.fitting.fit_many`,
-the table grids, :func:`~repro.analysis.experiments.truncation_grid`,
+:func:`~repro.fitting.fit_fleet`, the table grids,
+:func:`~repro.analysis.experiments.truncation_grid`,
 :func:`~repro.validation.crossval.rolling_origin`,
 :func:`~repro.analysis.fleet.episode_scorecard`,
 :func:`~repro.analysis.pipeline.run_full_reproduction`, and the whole
-:mod:`repro.serving` subsystem (which accepts *only* options).
+:mod:`repro.serving` subsystem.
 
-Merge semantics (uniform across every entry point):
+The process plumbing (``cache``, ``trace``, ``executor``,
+``n_workers``) travels *only* in the bundle. The per-fit science knobs
+(``jac``, ``engine``, ``seed``, ``n_random_starts``, ``max_nfev``) are
+also first-class keyword arguments on the fit entry points, merged
+uniformly:
 
-* an explicit individual kwarg always overrides the same field of
-  ``options=``;
+* an explicit science kwarg always overrides the same field of
+  ``options=`` (:meth:`EngineOptions.override`);
 * an options field left at its default defers to the entry point's own
   default, so ``EngineOptions()`` is a no-op everywhere;
 * environment defaults (``REPRO_FIT_EXECUTOR``, ``REPRO_FIT_WORKERS``,
   ``REPRO_FIT_CACHE``, ``REPRO_TRACE``/``REPRO_TRACE_FILE``) are applied
   in exactly one place — :meth:`EngineOptions.resolve` — which maps the
   ``None`` placeholders onto concrete cache/tracer/executor instances.
+
+The executor has one meaning: grid entry points run their independent
+cells (families, episodes, table cells) on it. A single fit always
+solves its multi-starts in order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
+from repro.exceptions import FitError, ParameterError
+from repro.fitting.batched import ENGINE_NAMES
 from repro.fitting.cache import FitCache, resolve_cache
-from repro.observability.tracer import TracerLike, resolve_tracer
-from repro.parallel import ExecutorLike, FitExecutor, get_executor
+from repro.observability.tracer import NULL_TRACER, Tracer, TracerLike, resolve_tracer
+from repro.parallel import ExecutorLike, FitExecutor, available_backends, get_executor
 
 __all__ = [
     "DEFAULT_ENGINE_OPTIONS",
-    "DEPRECATED_ENGINE_KWARGS",
+    "JAC_MODES",
     "EngineOptions",
     "ResolvedEngine",
-    "grid_engine_kwargs",
-    "split_engine_kwargs",
-    "warn_deprecated_engine_kwargs",
 ]
 
-#: The engine-plumbing keyword arguments deprecated on every fit entry
-#: point in favor of ``options=``. The per-fit science knobs (``jac``,
-#: ``engine``, ``seed``, ``n_random_starts``, ``max_nfev``) are *not*
-#: deprecated — they vary per call; the plumbing below configures a
-#: process and belongs in one bundle.
-DEPRECATED_ENGINE_KWARGS: tuple[str, ...] = (
-    "cache",
-    "trace",
-    "executor",
-    "n_workers",
-)
+#: Recognized ``jac=`` modes.
+JAC_MODES: tuple[str, ...] = ("auto", "analytic", "2-point")
+
+
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (``True`` is an ``int`` in Python)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value: Any, minimum: int, *, optional: bool) -> None:
+    if optional and value is None:
+        return
+    if not _is_int(value) or value < minimum:
+        expected = f"an integer >= {minimum}" + (" or None" if optional else "")
+        raise ParameterError(f"EngineOptions.{name} must be {expected}, got {value!r}")
 
 
 class ResolvedEngine(NamedTuple):
@@ -75,7 +86,11 @@ class ResolvedEngine(NamedTuple):
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Immutable bundle of fit-engine configuration.
+    """Immutable, validated bundle of fit-engine configuration.
+
+    Construction checks every field's type and range (see
+    :meth:`__post_init__`), so a bad value from a config file or a
+    caller fails here, naming the field.
 
     Attributes
     ----------
@@ -95,8 +110,9 @@ class EngineOptions:
         ``True`` (process-global tracer), or a
         :class:`~repro.observability.Tracer` instance.
     executor:
-        Backend name/instance for parallel work, ``None`` for the
-        ``REPRO_FIT_EXECUTOR`` default.
+        Backend name/instance the grid entry points run their
+        independent cells on, ``None`` for the ``REPRO_FIT_EXECUTOR``
+        default. A single fit never uses it.
     n_workers:
         Worker count for pooled backends (``None`` →
         ``REPRO_FIT_WORKERS`` or the CPU count).
@@ -118,6 +134,48 @@ class EngineOptions:
     seed: int | None = None
     n_random_starts: int = 8
     max_nfev: int = 2000
+
+    def __post_init__(self) -> None:
+        """Reject bad values here, naming the field, rather than deep in a fit.
+
+        ``jac``/``engine``/``executor`` keep the :class:`FitError` the
+        resolvers raise; every other check raises
+        :class:`~repro.exceptions.ParameterError` (a ``ValueError``).
+        """
+        if self.jac not in JAC_MODES:
+            raise FitError(f"jac must be one of {JAC_MODES}, got {self.jac!r}")
+        if self.engine is not None and self.engine not in ENGINE_NAMES:
+            raise FitError(f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}")
+        executor = self.executor
+        if not (
+            executor is None
+            or isinstance(executor, FitExecutor)
+            or (
+                isinstance(executor, str)
+                and executor.strip().lower() in available_backends()
+            )
+        ):
+            raise FitError(
+                f"unknown executor backend {executor!r}; "
+                f"expected one of {', '.join(available_backends())}"
+            )
+        if not (self.cache is None or isinstance(self.cache, (bool, FitCache))):
+            raise ParameterError(
+                f"EngineOptions.cache must be a bool, None, or FitCache, "
+                f"got {self.cache!r}"
+            )
+        if not (
+            self.trace is None
+            or isinstance(self.trace, (bool, Tracer, type(NULL_TRACER)))
+        ):
+            raise ParameterError(
+                f"EngineOptions.trace must be a bool, None, or Tracer, "
+                f"got {self.trace!r}"
+            )
+        _check_int("n_workers", self.n_workers, 1, optional=True)
+        _check_int("seed", self.seed, 0, optional=True)
+        _check_int("n_random_starts", self.n_random_starts, 0, optional=False)
+        _check_int("max_nfev", self.max_nfev, 1, optional=False)
 
     def replace(self, **changes: Any) -> "EngineOptions":
         """A copy with *changes* applied (``dataclasses.replace``)."""
@@ -164,7 +222,7 @@ class EngineOptions:
 
         Raises
         ------
-        ValueError
+        ParameterError
             If ``cache``/``trace``/``executor`` hold component
             instances rather than names, booleans, or ``None``.
         """
@@ -175,7 +233,7 @@ class EngineOptions:
                 value is None
                 or isinstance(value, (bool, int, float, str))
             ):
-                raise ValueError(
+                raise ParameterError(
                     f"EngineOptions.{field.name} holds a "
                     f"{type(value).__name__} instance, which cannot be "
                     f"serialized to JSON; use a backend name, a boolean, "
@@ -195,7 +253,7 @@ class EngineOptions:
         field_names = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - field_names)
         if unknown:
-            raise ValueError(
+            raise ParameterError(
                 f"unknown EngineOptions field(s) {unknown}; "
                 f"expected a subset of {sorted(field_names)}"
             )
@@ -211,7 +269,7 @@ class EngineOptions:
         with a subset of the field names (hand-written config files)."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
-            raise ValueError(
+            raise ParameterError(
                 f"EngineOptions JSON must be an object, got "
                 f"{type(payload).__name__}"
             )
@@ -235,114 +293,3 @@ class EngineOptions:
 
 #: The all-defaults instance every merge compares against.
 DEFAULT_ENGINE_OPTIONS = EngineOptions()
-
-
-def warn_deprecated_engine_kwargs(entry: str, names: Any) -> None:
-    """Emit the one DeprecationWarning for loose engine-plumbing kwargs.
-
-    *names* is any iterable of kwarg names; only those listed in
-    :data:`DEPRECATED_ENGINE_KWARGS` are reported (in canonical order),
-    and nothing is emitted when none match. ``stacklevel=3`` points the
-    warning at the caller of the entry point, not at the entry point's
-    own merge plumbing.
-    """
-    given = [name for name in DEPRECATED_ENGINE_KWARGS if name in set(names)]
-    if not given:
-        return
-    rendered = ", ".join(f"{name}=..." for name in given)
-    warnings.warn(
-        f"{entry}: passing {', '.join(given)} as loose keyword "
-        f"argument(s) is deprecated; pass "
-        f"options=EngineOptions({rendered}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def split_engine_kwargs(
-    entry: str,
-    options: EngineOptions | None,
-    fit_kwargs: Mapping[str, Any],
-) -> tuple[EngineOptions | None, dict[str, Any]]:
-    """Pop deprecated plumbing knobs out of a loose ``**fit_kwargs``.
-
-    For entry points that forward ``**fit_kwargs`` opaquely (the
-    cross-validation helpers): the four deprecated names are removed
-    from the mapping, any non-``None`` values are folded into *options*
-    via :meth:`EngineOptions.override` (creating a bundle when the
-    caller passed none) with a single DeprecationWarning naming
-    *entry*, and the remaining science kwargs are returned untouched.
-    """
-    remaining = dict(fit_kwargs)
-    plumbing = {
-        name: remaining.pop(name)
-        for name in DEPRECATED_ENGINE_KWARGS
-        if name in remaining
-    }
-    given = {name: value for name, value in plumbing.items() if value is not None}
-    if given:
-        warn_deprecated_engine_kwargs(entry, given)
-        base = options if options is not None else DEFAULT_ENGINE_OPTIONS
-        options = base.override(**given)
-    return options, remaining
-
-
-def grid_engine_kwargs(
-    options: EngineOptions | None,
-    executor: ExecutorLike,
-    n_workers: int | None,
-    fit_kwargs: Mapping[str, Any],
-    *,
-    entry: str | None = None,
-) -> tuple[ExecutorLike, int | None, dict[str, Any]]:
-    """Merge *options* into a grid-style entry point's arguments.
-
-    Grid entry points (the table sweeps, :func:`truncation_grid`,
-    :func:`episode_scorecard`, :func:`fit_many`) consume ``executor`` /
-    ``n_workers`` themselves — they parallelize the grid cells, and the
-    per-cell fits run serially — while forwarding the remaining engine
-    knobs into each cell's fit. This helper applies the same split to an
-    options bundle: its executor fields fill the grid-level arguments
-    (when those were not given explicitly), its science fields
-    (``jac``/``engine``/``seed``/``n_random_starts``/``max_nfev``) are
-    folded *under* the explicit per-fit kwargs, and its plumbing fields
-    (``cache``/``trace``) travel to each cell as a per-cell
-    ``options=`` bundle in the returned kwargs rather than as the
-    deprecated loose knobs.
-
-    When *entry* is given, explicitly passed deprecated knobs — a
-    non-``None`` grid-level ``executor``/``n_workers`` or a non-``None``
-    ``cache``/``trace`` inside *fit_kwargs* — draw one
-    DeprecationWarning naming that entry point (they keep working; the
-    values are honored exactly as before).
-    """
-    merged = dict(fit_kwargs)
-    explicit = {
-        name: merged.pop(name) for name in ("cache", "trace") if name in merged
-    }
-    if entry is not None:
-        given = [name for name, value in explicit.items() if value is not None]
-        if executor is not None:
-            given.append("executor")
-        if n_workers is not None:
-            given.append("n_workers")
-        warn_deprecated_engine_kwargs(entry, given)
-    base_options = options if options is not None else DEFAULT_ENGINE_OPTIONS
-    if executor is None:
-        executor = base_options.executor
-    if n_workers is None:
-        n_workers = base_options.n_workers
-    science = {
-        name: value
-        for name, value in base_options.to_kwargs().items()
-        if name not in DEPRECATED_ENGINE_KWARGS
-    }
-    science.update(merged)
-    # Per-cell plumbing: cache/trace from the bundle, overridden by the
-    # explicit loose knobs; executor/n_workers stay None so each cell
-    # keeps its historical serial/env-default resolution.
-    cell_options = DEFAULT_ENGINE_OPTIONS.override(
-        cache=base_options.cache, trace=base_options.trace
-    ).override(**{k: v for k, v in explicit.items() if v is not None})
-    science["options"] = cell_options
-    return executor, n_workers, science

@@ -10,9 +10,9 @@ by ``benchmarks/bench_trace_overhead.py``).
 
 Enabling it
 -----------
-* ``trace=`` kwarg on the fit/experiment APIs: a :class:`Tracer`
-  instance, ``True`` (process-global tracer), ``False`` (force off), or
-  ``None`` (environment default — the usual default).
+* ``options=EngineOptions(trace=...)`` on the fit/experiment APIs: a
+  :class:`Tracer` instance, ``True`` (process-global tracer), ``False``
+  (force off), or ``None`` (environment default — the usual default).
 * ``REPRO_TRACE=1`` environment variable: traces every instrumented
   call in the process; ``REPRO_TRACE_FILE=path`` additionally streams
   each span as one JSON line (and by itself also implies tracing).
@@ -30,7 +30,8 @@ Span records are JSON objects::
 parent is its fit span; a fit span's parent is the table grid it ran
 under). Spans created by worker *processes* are dropped by design — a
 :class:`Tracer` unpickles to :data:`NULL_TRACER` — so the process
-backend loses per-start attribution but keeps every parent-side span.
+backend loses the spans of the fits its cells run but keeps every
+parent-side span.
 """
 
 from __future__ import annotations
@@ -470,25 +471,25 @@ def disable_tracing() -> None:
         _forced_tracer = None
 
 
-def resolve_tracer(trace: TracerLike) -> "Tracer | _NullTracer":
-    """Map a ``trace=`` argument onto a concrete tracer.
+def resolve_tracer(spec: TracerLike) -> "Tracer | _NullTracer":
+    """Map an ``EngineOptions.trace`` value onto a concrete tracer.
 
     ``None`` → environment default (usually :data:`NULL_TRACER`);
     ``False`` → :data:`NULL_TRACER`; ``True`` → the process-global
     tracer (created on demand); a :class:`Tracer` → itself.
     """
-    if trace is None:
+    if spec is None:
         tracer = default_tracer()
         return tracer if tracer is not None else NULL_TRACER
-    if trace is False:
+    if spec is False:
         return NULL_TRACER
-    if trace is True:
+    if spec is True:
         tracer = default_tracer()
         return tracer if tracer is not None else enable_tracing()
-    if isinstance(trace, (Tracer, _NullTracer)):
-        return trace
+    if isinstance(spec, (Tracer, _NullTracer)):
+        return spec
     raise TypeError(
-        f"trace must be a bool, None, or Tracer, got {type(trace).__name__}"
+        f"trace must be a bool, None, or Tracer, got {type(spec).__name__}"
     )
 
 

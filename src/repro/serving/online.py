@@ -267,16 +267,17 @@ class OnlineForecaster:
             raise ServingError(
                 "reselect_drift is set but no candidate families were given"
             )
+        if nominal is not None and not np.isfinite(nominal):
+            raise ServingError(f"nominal must be finite, got {nominal}")
         self._nominal = nominal
 
         engine: ResolvedEngine = self.options.resolve()
         self._engine = engine
         # Per-fit options: the solver knobs from the user's bundle, with
         # the plumbing pinned to the resolved instances so every refit
-        # shares one cache/tracer and the multi-starts run on the chosen
-        # backend. Pinning (rather than re-resolving each fit) keeps the
-        # service's behavior fixed even if the environment changes
-        # mid-stream.
+        # shares one cache/tracer. Pinning (rather than re-resolving each
+        # fit) keeps the service's behavior fixed even if the environment
+        # changes mid-stream.
         self._fit_options = self.options.replace(
             cache=engine.cache if engine.cache is not None else False,
             trace=engine.tracer,
@@ -518,8 +519,8 @@ class OnlineForecaster:
         families = list(self._candidates)
         if all(f.name != self._family.name for f in families):
             families.insert(0, self._family)
-        # _fit_options already pins executor to the resolved backend, so
-        # the candidate loop parallelizes on it via the options bundle.
+        # _fit_options pins executor to the resolved backend, so fit_many
+        # runs the candidate loop on it.
         results = fit_many(families, curve, options=self._fit_options)
         self.stats["reselections"] += 1
         if self._tracer.enabled:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -78,6 +79,13 @@ SERVER_OPS: tuple[str, ...] = (
     "drift",
     "stats",
 )
+
+#: Latency label for requests that never reached a known op, so bogus op
+#: names cannot mint new histograms.
+_INVALID_OP = "invalid"
+
+#: Largest forecast grid one request may ask for.
+MAX_FORECAST_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,24 @@ class ServerConfig:
     def replace(self, **changes: Any) -> "ServerConfig":
         """A copy with *changes* applied."""
         return dataclasses.replace(self, **changes)
+
+
+def _finite_field(request: dict[str, Any], name: str, default: Any) -> Any:
+    """*name* from *request* as a finite float (*default* when absent or null)."""
+    value = request.get(name)
+    if value is None:
+        return default
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(type(value).__name__)
+        number = float(value)  # OverflowError: an integer beyond float range
+        if not math.isfinite(number):
+            raise ValueError("not finite")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(
+            f"{name!r} must be a finite number, got {value!r}"
+        ) from exc
+    return number
 
 
 def _error_body(exc: BaseException) -> dict[str, Any]:
@@ -430,20 +456,21 @@ class ForecastServer:
         try:
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError, bad UTF-8 and integer
+                # literals past the int-digit limit; RecursionError, nesting.
                 raise ProtocolError(f"request is not valid JSON: {exc}") from exc
             if not isinstance(request, dict):
                 raise ProtocolError(
                     f"request must be a JSON object, got {type(request).__name__}"
                 )
             request_id = request.get("id")
-            tag = request.get("deadline_ms")
-            deadline = float(tag) if isinstance(tag, (int, float)) else None
             op = request.get("op")
             if op not in SERVER_OPS:
                 raise ProtocolError(
                     f"unknown op {op!r}; supported: {', '.join(SERVER_OPS)}"
                 )
+            deadline = _finite_field(request, "deadline_ms", None)
             result = await self._dispatch(op, request)
             response: dict[str, Any] = {
                 "id": request_id,
@@ -465,7 +492,8 @@ class ForecastServer:
             response["deadline_exceeded"] = elapsed_ms > deadline
         self.metrics.inc("serve.requests")
         self.metrics.observe("serve.latency_ms", elapsed_ms)
-        self.metrics.observe(f"serve.latency_ms.{op}", elapsed_ms)
+        label = op if op in SERVER_OPS else _INVALID_OP
+        self.metrics.observe(f"serve.latency_ms.{label}", elapsed_ms)
         return response
 
     # ------------------------------------------------------------------
@@ -507,11 +535,10 @@ class ForecastServer:
     def _op_register(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
         self._admit_stream(key)
         family = request.get("family")
-        nominal = request.get("nominal")
         self.session.register(
             key,
             family=family if isinstance(family, str) else None,
-            nominal=float(nominal) if isinstance(nominal, (int, float)) else None,
+            nominal=_finite_field(request, "nominal", None),
         )
         return {"key": key, "streams": len(self.session)}
 
@@ -547,30 +574,33 @@ class ForecastServer:
         }
 
     async def _op_forecast(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
-        forecaster = await self._ensure_first_fit(key)
-        horizon = request.get("horizon", self.config.default_horizon)
-        if not isinstance(horizon, (int, float)):
-            raise ProtocolError(f"'horizon' must be a number, got {horizon!r}")
+        horizon = _finite_field(request, "horizon", self.config.default_horizon)
+        confidence = _finite_field(request, "confidence", 0.95)
+        if not 0.0 < confidence < 1.0:
+            raise ProtocolError(f"'confidence' must lie in (0, 1), got {confidence!r}")
         n_points = request.get("n_points", 25)
-        confidence = request.get("confidence", 0.95)
+        if (
+            isinstance(n_points, bool)
+            or not isinstance(n_points, int)
+            or not 2 <= n_points <= MAX_FORECAST_POINTS
+        ):
+            raise ProtocolError(
+                f"'n_points' must be an integer in [2, {MAX_FORECAST_POINTS}], "
+                f"got {n_points!r}"
+            )
+        forecaster = await self._ensure_first_fit(key)
         forecast = forecaster.forecast(
-            float(horizon),
-            n_points=int(n_points),
-            confidence=float(confidence),
-            allow_refit=False,
+            horizon, n_points=n_points, confidence=confidence, allow_refit=False
         )
         return forecast.to_dict()
 
     async def _op_report(self, key: str, request: dict[str, Any]) -> dict[str, Any]:
+        horizon = _finite_field(request, "horizon", None)
         forecaster = await self._ensure_first_fit(key)
-        horizon = request.get("horizon")
         # report() would refit inline; pin freshness to the incumbent
         # fit the same way forecast does by reporting through the
         # forecaster only after the first fit exists.
-        report = forecaster.report(
-            horizon=float(horizon) if isinstance(horizon, (int, float)) else None,
-            allow_refit=False,
-        )
+        report = forecaster.report(horizon=horizon, allow_refit=False)
         return report.to_dict()
 
     # ------------------------------------------------------------------

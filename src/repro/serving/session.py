@@ -60,9 +60,9 @@ class PlannedRefit(NamedTuple):
 
 #: Plumbing for batch work units: the batch itself is the parallel
 #: dimension, and cache/trace handles cannot cross a process boundary,
-#: so each unit solves serially with both disabled (the session
-#: re-attaches hit-rate accounting in the parent).
-_BATCH_REFIT_OPTIONS = EngineOptions(cache=False, trace=False, executor="serial")
+#: so each unit solves with both disabled (the session re-attaches
+#: hit-rate accounting in the parent).
+_BATCH_REFIT_OPTIONS = EngineOptions(cache=False, trace=False)
 
 
 def _execute_batch_refit(work: _BatchRefitWork) -> tuple[str, FitResult]:

@@ -20,10 +20,10 @@ from repro._typing import ArrayLike, FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError, FitError
 from repro.fitting.least_squares import fit_least_squares
-from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, split_engine_kwargs
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
-from repro.parallel import ExecutorLike, get_executor
+from repro.parallel import get_executor
 from repro.validation.intervals import ConfidenceBand
 
 __all__ = ["BootstrapResult", "residual_bootstrap"]
@@ -111,8 +111,7 @@ def residual_bootstrap(
     n_replications: int = 200,
     seed: int = 0,
     max_failure_fraction: float = 0.25,
-    executor: ExecutorLike = None,
-    n_workers: int | None = None,
+    options: EngineOptions | None = None,
     **fit_kwargs: object,
 ) -> BootstrapResult:
     """Residual bootstrap around a least-squares fit.
@@ -124,6 +123,11 @@ def residual_bootstrap(
     replication set — and therefore the ensemble — is identical on
     every executor backend and worker count.
 
+    The replications run on ``options.executor``; each refit receives
+    the bundle, with caching off unless ``options.cache`` opts in
+    (resampled curves never repeat a cache key). *fit_kwargs* are
+    passed through to :func:`~repro.fitting.fit_least_squares`.
+
     Raises
     ------
     FitError
@@ -131,15 +135,10 @@ def residual_bootstrap(
     """
     if n_replications < 10:
         raise FitError(f"n_replications must be >= 10, got {n_replications}")
-    # Loose engine plumbing in fit_kwargs is deprecated; fold it into a
-    # per-replication options bundle. Synthetic resampled curves are
-    # unique per (seed, replication), so cache lookups can never hit —
-    # caching defaults off unless the caller opted in.
-    options, fit_kwargs = split_engine_kwargs("residual_bootstrap", None, fit_kwargs)
-    cell_options = options if options is not None else DEFAULT_ENGINE_OPTIONS
-    if cell_options.cache is None:
-        cell_options = cell_options.replace(cache=False)
-    fit_kwargs["options"] = cell_options
+    opts = options or DEFAULT_ENGINE_OPTIONS
+    if opts.cache is None:
+        opts = opts.replace(cache=False)
+    refit_kwargs = {**fit_kwargs, "options": opts}
     curve = fit.curve
     predictions = fit.predict(curve.times)
     residuals = curve.performance - predictions
@@ -156,10 +155,10 @@ def residual_bootstrap(
             name=f"{curve.name}-boot",
         )
         work_units.append(
-            _ReplicationWork(fit.model, synthetic, starts, dict(fit_kwargs))
+            _ReplicationWork(fit.model, synthetic, starts, refit_kwargs)
         )
 
-    outcomes = get_executor(executor, max_workers=n_workers).map(
+    outcomes = get_executor(opts.executor, max_workers=opts.n_workers).map(
         _bootstrap_refit, work_units
     )
     samples = [params for params in outcomes if params is not None]

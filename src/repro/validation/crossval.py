@@ -13,14 +13,9 @@ import logging
 from dataclasses import dataclass
 
 from repro.core.curve import ResilienceCurve
-from repro.exceptions import MetricError
+from repro.exceptions import MetricError, ReproError
 from repro.fitting.least_squares import fit_least_squares
-from repro.fitting.options import (
-    DEFAULT_ENGINE_OPTIONS,
-    DEPRECATED_ENGINE_KWARGS,
-    EngineOptions,
-    split_engine_kwargs,
-)
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.validation.gof import GoodnessOfFit, adjusted_r_squared, pmse
@@ -88,16 +83,10 @@ def evaluate_predictive(
         Level of the Eq. (13) band (the paper uses 95%).
     options:
         :class:`~repro.fitting.options.EngineOptions` bundle for the
-        training fit. Engine plumbing passed as loose *fit_kwargs*
-        (``cache=``/``trace=``/``executor=``/``n_workers=``) is
-        deprecated: it still works, but draws a ``DeprecationWarning``
-        and is folded into this bundle.
+        training fit.
     fit_kwargs:
         Passed through to :func:`~repro.fitting.fit_least_squares`.
     """
-    options, fit_kwargs = split_engine_kwargs(
-        "evaluate_predictive", options, fit_kwargs
-    )
     train, test = curve.train_test_split(train_fraction)
     fit = fit_least_squares(family, train, options=options, **fit_kwargs)  # type: ignore[arg-type]
 
@@ -115,6 +104,32 @@ def evaluate_predictive(
         empirical_coverage=band.coverage_of(curve.performance),
     )
     return PredictiveEvaluation(fit=fit, train=train, test=test, measures=measures, band=band)
+
+
+def _warm_start_kwargs(
+    fit_kwargs: dict[str, object],
+    options: EngineOptions,
+    previous_optimum: tuple[float, ...] | None,
+    warm_n_random_starts: int,
+) -> dict[str, object]:
+    """Per-fit kwargs for one step of a warm-started chain.
+
+    The previous step's optimum (``None`` for the first step, or when
+    warm starting is off) joins as an extra start, and the random-start
+    budget shrinks to *warm_n_random_starts* unless the caller chose a
+    budget: an explicit ``n_random_starts`` kwarg or a non-default
+    ``options.n_random_starts``.
+    """
+    kwargs = dict(fit_kwargs)
+    if previous_optimum is None:
+        return kwargs
+    kwargs.setdefault("extra_starts", (previous_optimum,))
+    if (
+        "n_random_starts" not in kwargs
+        and options.n_random_starts == DEFAULT_ENGINE_OPTIONS.n_random_starts
+    ):
+        kwargs["n_random_starts"] = warm_n_random_starts
+    return kwargs
 
 
 def rolling_origin(
@@ -141,35 +156,13 @@ def rolling_origin(
     the right basin and the full multi-start sweep is wasted effort.
     Pass ``warm_start=False`` to make every origin independent.
 
-    An ``options=`` :class:`~repro.fitting.options.EngineOptions`
-    bundle fills in fit kwargs not given explicitly; like an explicit
-    ``n_random_starts=`` kwarg, a non-default ``options.n_random_starts``
-    disables the warm budget shrink (the caller asked for that budget).
-    Loose ``cache=``/``trace=``/``executor=``/``n_workers=`` in
-    *fit_kwargs* are deprecated (they still work, with a
-    ``DeprecationWarning``) — put them in the bundle.
+    The ``options=`` :class:`~repro.fitting.options.EngineOptions`
+    bundle is handed to every fit, under any explicit *fit_kwargs*;
+    like an explicit ``n_random_starts=`` kwarg, a non-default
+    ``options.n_random_starts`` disables the warm budget shrink (the
+    caller asked for that budget).
     """
-    options, fit_kwargs = split_engine_kwargs("rolling_origin", options, fit_kwargs)
-    if options is not None:
-        # The origin loop is inherently sequential (each fit warm-starts
-        # the next), so every options field — including executor, which
-        # here parallelizes the multi-starts *within* each fit — flows
-        # into the per-fit call. Science knobs merge as loose kwargs
-        # (so the warm-shrink ``setdefault`` below still defers to a
-        # non-default ``options.n_random_starts``); the plumbing rides
-        # in a per-fit ``options=`` bundle.
-        science = {
-            name: value
-            for name, value in options.to_kwargs().items()
-            if name not in DEPRECATED_ENGINE_KWARGS
-        }
-        fit_kwargs = {**science, **fit_kwargs}
-        fit_kwargs["options"] = DEFAULT_ENGINE_OPTIONS.override(
-            cache=options.cache,
-            trace=options.trace,
-            executor=options.executor,
-            n_workers=options.n_workers,
-        )
+    opts = options or DEFAULT_ENGINE_OPTIONS
     if min_train <= family.n_params:
         raise MetricError(
             f"min_train={min_train} must exceed the parameter count "
@@ -181,13 +174,15 @@ def rolling_origin(
     previous_optimum: tuple[float, ...] | None = None
     for k in range(min_train, len(curve) - 1, step):
         train = curve.head(k)
-        kwargs = dict(fit_kwargs)
-        if warm_start and previous_optimum is not None:
-            kwargs.setdefault("extra_starts", (previous_optimum,))
-            kwargs.setdefault("n_random_starts", warm_n_random_starts)
+        kwargs = _warm_start_kwargs(
+            fit_kwargs,
+            opts,
+            previous_optimum if warm_start else None,
+            warm_n_random_starts,
+        )
         try:
-            fit = fit_least_squares(family, train, **kwargs)  # type: ignore[arg-type]
-        except Exception as exc:
+            fit = fit_least_squares(family, train, options=opts, **kwargs)  # type: ignore[arg-type]
+        except (ReproError, ValueError) as exc:
             logger.debug("rolling origin k=%d skipped: %s", k, exc)
             continue
         previous_optimum = fit.model.params

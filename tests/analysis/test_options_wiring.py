@@ -1,5 +1,6 @@
-"""Every grid/pipeline entry point accepts ``options=EngineOptions(...)``
-with behavior identical to the historical individual kwargs."""
+"""Every grid/pipeline entry point takes its engine plumbing only as
+``options=EngineOptions(...)``, and a science knob behaves the same
+whether it is passed as a kwarg or as an options field."""
 
 from __future__ import annotations
 
@@ -20,37 +21,45 @@ from repro.fitting import EngineOptions
 from repro.models.registry import make_model
 from repro.validation.crossval import rolling_origin
 
-#: Cheap, hermetic engine knobs used on both sides of each comparison.
-CHEAP = dict(seed=5, n_random_starts=2, cache=False, trace=False)
-CHEAP_OPTIONS = EngineOptions(**CHEAP)
+#: Cheap, hermetic engine knobs used on both sides of each comparison:
+#: the plumbing always rides in a bundle, the science knobs go either way.
+PLUMBING = EngineOptions(cache=False, trace=False)
+SCIENCE = dict(seed=5, n_random_starts=2)
+CHEAP = dict(options=PLUMBING, **SCIENCE)
+CHEAP_OPTIONS = PLUMBING.replace(**SCIENCE)
+
+ENTRY_POINTS = [
+    table1,
+    table2,
+    table3,
+    table4,
+    truncation_grid,
+    rolling_origin,
+    episode_scorecard,
+    run_full_reproduction,
+]
 
 
 class TestSignatures:
-    """Every consolidated entry point exposes ``options=``.
+    """Every consolidated entry point exposes ``options=`` and nothing else
+    for the plumbing.
 
     The expensive grids (the four tables, the full pipeline) are
-    covered behaviorally through their shared ``_validation_sweep`` /
-    ``grid_engine_kwargs`` merge path by the cheap cases below; this
-    pins the public signature for all of them.
+    covered behaviorally through their shared ``_validation_sweep``
+    path by the cheap cases below; this pins the public signature for
+    all of them.
     """
 
-    @pytest.mark.parametrize(
-        "entry_point",
-        [
-            table1,
-            table2,
-            table3,
-            table4,
-            truncation_grid,
-            rolling_origin,
-            episode_scorecard,
-            run_full_reproduction,
-        ],
-    )
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
     def test_accepts_options_keyword(self, entry_point):
         parameters = inspect.signature(entry_point).parameters
         assert "options" in parameters
         assert parameters["options"].default is None
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+    def test_takes_no_loose_plumbing(self, entry_point):
+        parameters = inspect.signature(entry_point).parameters
+        assert not {"cache", "trace", "executor", "n_workers"} & set(parameters)
 
 
 class TestRollingOrigin:

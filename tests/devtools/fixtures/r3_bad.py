@@ -1,18 +1,23 @@
-"""R3 fixture: entry points that drop the options= contract."""
+"""R3 fixture: entry points that take engine plumbing outside options=."""
 
-__all__ = ["fit_widget", "serve_widget", "sweep_widget"]
+__all__ = ["engine_widget", "fit_widget", "serve_widget", "sweep_widget"]
 
 
-def fit_widget(curve, *, cache=None, trace=None, executor=None):
-    """Takes the engine knobs but no options bundle."""
-    return curve, cache, trace, executor
+def fit_widget(curve, *, options=None, cache=None, trace=None, executor=None):
+    """Takes loose plumbing next to the options bundle."""
+    return curve, options, cache, trace, executor
+
+
+def engine_widget(curve, *, engine=None):
+    """Takes an engine choice but no options bundle."""
+    return curve, engine
 
 
 def serve_widget(stream, *, options=None, executor=None):
-    """Serving-style entry point that leaks an engine knob."""
+    """Registered entry point that leaks an engine knob."""
     return stream, options, executor
 
 
-def sweep_widget(grid, *, options=None):
-    """Spec requires executor/n_workers here; they are missing."""
-    return grid, options
+def sweep_widget(grid, *, executor=None, n_workers=None):
+    """Registered grid that reads its pool size loose, without options=."""
+    return grid, executor, n_workers

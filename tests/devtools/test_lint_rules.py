@@ -12,6 +12,7 @@ from repro.devtools.findings import Finding, is_suppressed, suppressions_for
 from repro.devtools.lint import discover_project_root, run_lint
 from repro.devtools.rules import (
     ALL_RULES,
+    ENGINE_PLUMBING,
     DeterminismRule,
     EntryPointSpec,
     EnvBoundaryRule,
@@ -106,19 +107,14 @@ class TestDeterminism:
 
 class TestOptionsThreading:
     def entry_specs(self, module: str) -> tuple[EntryPointSpec, ...]:
-        only_options = frozenset({"cache", "trace", "executor", "n_workers"})
-        return (
+        return tuple(
             EntryPointSpec(
                 module,
-                "serve_widget",
+                name,
                 required=frozenset({"options"}),
-                forbidden=only_options,
-            ),
-            EntryPointSpec(
-                module,
-                "sweep_widget",
-                required=frozenset({"options", "executor", "n_workers"}),
-            ),
+                forbidden=ENGINE_PLUMBING,
+            )
+            for name in ("serve_widget", "sweep_widget")
         )
 
     def test_bad_fixture_triggers(self):
@@ -129,17 +125,36 @@ class TestOptionsThreading:
         )
         findings = lint_fixture("r3_bad.py", OptionsThreadingRule, config)
         messages = [f.message for f in findings]
-        assert any("fit_widget" in m and "no options=" in m for m in messages)
-        assert any("serve_widget" in m and "only via options=" in m for m in messages)
         assert any(
-            "sweep_widget" in m and "missing required" in m for m in messages
+            "fit_widget" in m and "plumbing parameter(s) cache, executor, trace" in m
+            for m in messages
+        )
+        assert any("engine_widget" in m and "no options=" in m for m in messages)
+        assert any(
+            "serve_widget" in m and "only via options=, not: executor" in m
+            for m in messages
+        )
+        assert any(
+            "sweep_widget" in m and "missing required parameter(s): options" in m
+            for m in messages
+        )
+        assert any(
+            "sweep_widget" in m and "not: executor, n_workers" in m for m in messages
         )
         assert any("missing_entirely" in m and "not found" in m for m in messages)
-        assert len(findings) == 4
+        assert len(findings) == 6
 
     def test_good_fixture_clean(self):
         config = fixture_config(entry_points=self.entry_specs(relpath("r3_good.py")))
         assert lint_fixture("r3_good.py", OptionsThreadingRule, config) == []
+
+    def test_default_registry_forbids_plumbing_everywhere(self):
+        config = default_config()
+        assert config.entry_points
+        for spec in config.entry_points:
+            if spec.module.startswith(("src/repro/datasets/",)):
+                continue
+            assert spec.forbidden == ENGINE_PLUMBING, spec.qualname
 
     def test_real_entry_points_still_exist(self):
         """The default registry matches the live tree — a rename would

@@ -9,9 +9,10 @@ import pytest
 
 from repro.exceptions import ConvergenceError
 from repro.fitting.least_squares import FitManyResult, fit_many
+from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
 
-CHEAP = dict(n_random_starts=2, cache=False, trace=False)
+CHEAP = dict(n_random_starts=2, options=EngineOptions(cache=False, trace=False))
 
 
 @pytest.fixture()

@@ -18,6 +18,7 @@ from repro.fitting.fleet import (
     fit_fleet,
 )
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.exceptions import FitError
 from repro.models.registry import make_model
 
@@ -48,8 +49,7 @@ def loop_reference(ragged_store):
                     curve,
                     engine=engine,
                     n_random_starts=N_STARTS,
-                    cache=False,
-                    executor="serial",
+                    options=EngineOptions(cache=False, executor="serial"),
                 )
         reference[engine] = cells
     return reference
@@ -190,13 +190,13 @@ class TestOptions:
         cache = FitCache()
         fit_fleet(
             ragged_store, ("quadratic",), engine="scipy",
-            n_random_starts=N_STARTS, cache=cache,
+            n_random_starts=N_STARTS, options=EngineOptions(cache=cache),
         )
         assert len(cache) == 18
         stats = cache.stats()
         fit_fleet(
             ragged_store, ("quadratic",), engine="scipy",
-            n_random_starts=N_STARTS, cache=cache,
+            n_random_starts=N_STARTS, options=EngineOptions(cache=cache),
         )
         assert cache.stats()["hits"] >= stats["hits"] + 18
 

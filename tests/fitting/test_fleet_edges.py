@@ -18,9 +18,12 @@ from repro.datasets.store import EpisodeStore, EpisodeStoreWriter
 from repro.exceptions import ConvergenceError, DataError
 from repro.fitting.fleet import fit_fleet
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.quadratic import QuadraticResilienceModel
 
 ENGINES = ("scipy", "batched")
+SERIAL = EngineOptions(executor="serial")
+SERIAL_NO_CACHE = SERIAL.replace(cache=False)
 
 
 def _bathtub_curve(name: str = "ok", n_points: int = 12) -> ResilienceCurve:
@@ -62,7 +65,7 @@ class TestTooShortEpisodes:
             engine=engine,
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=SERIAL,
         )
         failed = result.failed["quadratic"]
         assert list(failed) == [False, True, False]
@@ -80,7 +83,7 @@ class TestTooShortEpisodes:
             ("quadratic",),
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=SERIAL,
         )
         assert result.n_episodes == 2
         assert np.all(result.failed["quadratic"])
@@ -103,8 +106,7 @@ class TestAllStartsPenalized:
                 engine=engine,
                 n_random_starts=2,
                 seed=5,
-                cache=False,
-                executor="serial",
+                options=SERIAL_NO_CACHE,
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -115,7 +117,7 @@ class TestAllStartsPenalized:
             engine=engine,
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=SERIAL,
         )
         assert np.all(result.failed["exploding"])
         assert np.all(np.isnan(result.sse["exploding"]))
@@ -132,7 +134,7 @@ class TestAllStartsPenalized:
             (QuadraticResilienceModel(), ExplodingModel()),
             n_random_starts=2,
             seed=5,
-            executor="serial",
+            options=SERIAL,
         )
         assert not result.failed["quadratic"][0]
         assert result.failed["exploding"][0]

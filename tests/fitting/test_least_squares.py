@@ -7,10 +7,13 @@ from repro.core.curve import ResilienceCurve
 from repro.datasets.synthetic import curve_from_model
 from repro.exceptions import ConvergenceError, FitError
 from repro.fitting.least_squares import fit_least_squares, fit_many
+from repro.fitting.options import EngineOptions
 from repro.models.base import ResilienceModel
 from repro.models.competing_risks import CompetingRisksResilienceModel
 from repro.models.mixture import MixtureResilienceModel
 from repro.models.quadratic import QuadraticResilienceModel
+
+NO_CACHE = EngineOptions(cache=False)
 
 
 class TestBasicFitting:
@@ -128,7 +131,7 @@ class TestNonFinitePenalty:
         start with zero gradient."""
         curve = ResilienceCurve(np.arange(1.0, 11.0), 2.0 * np.arange(1.0, 11.0))
         result = fit_least_squares(
-            _PocketModel(), curve, starts=[(8.0,)], cache=False
+            _PocketModel(), curve, starts=[(8.0,)], options=NO_CACHE
         )
         assert result.params == pytest.approx((2.0,), rel=1e-6)
         assert result.sse < 1e-12
@@ -138,10 +141,10 @@ class TestJacobianModes:
     def test_modes_reach_the_same_optimum(self, recession_1990):
         family = MixtureResilienceModel("wei", "exp")
         analytic = fit_least_squares(
-            family, recession_1990, jac="analytic", cache=False
+            family, recession_1990, jac="analytic", options=NO_CACHE
         )
         numeric = fit_least_squares(
-            family, recession_1990, jac="2-point", cache=False
+            family, recession_1990, jac="2-point", options=NO_CACHE
         )
         assert analytic.sse == pytest.approx(numeric.sse, rel=1e-6)
         assert analytic.details["jac_mode"] == "analytic"
@@ -149,13 +152,13 @@ class TestJacobianModes:
 
     def test_auto_resolves_by_family(self, recession_1990):
         mixture = fit_least_squares(
-            MixtureResilienceModel("wei", "exp"), recession_1990, cache=False
+            MixtureResilienceModel("wei", "exp"), recession_1990, options=NO_CACHE
         )
         assert mixture.details["jac_mode"] == "analytic"
 
     def test_analytic_counts_jacobian_evals(self, recession_1990):
         result = fit_least_squares(
-            QuadraticResilienceModel(), recession_1990, jac="analytic", cache=False
+            QuadraticResilienceModel(), recession_1990, jac="analytic", options=NO_CACHE
         )
         assert result.details["njev"] > 0
         assert result.details["nfev"] == sum(result.details["per_start_nfev"])
@@ -163,10 +166,10 @@ class TestJacobianModes:
     def test_analytic_spends_fewer_residual_evals(self, recession_1990):
         family = MixtureResilienceModel("wei", "exp")
         analytic = fit_least_squares(
-            family, recession_1990, jac="analytic", cache=False
+            family, recession_1990, jac="analytic", options=NO_CACHE
         )
         numeric = fit_least_squares(
-            family, recession_1990, jac="2-point", cache=False
+            family, recession_1990, jac="2-point", options=NO_CACHE
         )
         assert analytic.details["nfev"] < numeric.details["nfev"]
 
@@ -189,7 +192,7 @@ class TestJacobianModes:
 class TestExtraStarts:
     def test_extra_start_prepended_and_deduped(self, recession_1990):
         family = QuadraticResilienceModel()
-        base = fit_least_squares(family, recession_1990, cache=False)
+        base = fit_least_squares(family, recession_1990, options=NO_CACHE)
         # Perturb the warm start so it cannot collide with a heuristic
         # seed (the quadratic's polyfit seed IS the optimum, and the
         # winner-selection band returns it verbatim).
@@ -199,10 +202,10 @@ class TestExtraStarts:
             recession_1990,
             extra_starts=[extra, extra],
             n_random_starts=0,
-            cache=False,
+            options=NO_CACHE,
         )
         cold = fit_least_squares(
-            family, recession_1990, n_random_starts=0, cache=False
+            family, recession_1990, n_random_starts=0, options=NO_CACHE
         )
         assert warm.n_starts == cold.n_starts + 1  # one extra after dedup
         assert warm.sse <= cold.sse + 1e-12
@@ -212,7 +215,7 @@ class TestExtraStarts:
             QuadraticResilienceModel(),
             recession_1990,
             extra_starts=[(100.0, 5.0, -3.0)],
-            cache=False,
+            options=NO_CACHE,
         )
         assert np.isfinite(result.sse)
 

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.observability.tracer as tracer_module
+from repro.exceptions import FitError, ParameterError, ReproError
 from repro.fitting.cache import FitCache
 from repro.fitting.least_squares import fit_least_squares, fit_many
-from repro.fitting.options import (
-    DEFAULT_ENGINE_OPTIONS,
-    EngineOptions,
-    grid_engine_kwargs,
-)
+from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.models.registry import make_model
-from repro.observability import Tracer
+from repro.observability import NULL_TRACER, Tracer
+from repro.parallel import SerialExecutor, ThreadExecutor
 
-#: Cheap, hermetic engine configuration shared by the equivalence tests.
-CHEAP = dict(n_random_starts=2, cache=False, trace=False)
+#: Cheap, hermetic engine configuration shared by the equivalence tests:
+#: the plumbing rides in a bundle, the science knob goes either way.
+PLUMBING = EngineOptions(cache=False, trace=False)
+CHEAP = dict(n_random_starts=2)
 
 
 class TestMergeSemantics:
@@ -63,52 +67,6 @@ class TestMergeSemantics:
             "n_random_starts": 5,
             "cache": False,
         }
-
-
-class TestGridEngineKwargs:
-    def test_none_options_passthrough(self):
-        executor, n_workers, kwargs = grid_engine_kwargs(
-            None, "thread", 2, {"seed": 1}
-        )
-        assert (executor, n_workers) == ("thread", 2)
-        assert kwargs == {"seed": 1, "options": EngineOptions()}
-
-    def test_executor_fields_split_off(self):
-        options = EngineOptions(executor="thread", n_workers=2, seed=9)
-        executor, n_workers, kwargs = grid_engine_kwargs(options, None, None, {})
-        assert (executor, n_workers) == ("thread", 2)
-        assert kwargs == {"seed": 9, "options": EngineOptions()}
-
-    def test_explicit_arguments_win(self):
-        options = EngineOptions(executor="thread", n_workers=2, seed=9)
-        executor, n_workers, kwargs = grid_engine_kwargs(
-            options, "serial", 1, {"seed": 4}
-        )
-        assert (executor, n_workers) == ("serial", 1)
-        assert kwargs == {"seed": 4, "options": EngineOptions()}
-
-    def test_plumbing_rides_in_cell_options(self):
-        # cache/trace leave the loose kwargs and travel per-cell as an
-        # options bundle; executor/n_workers stay None inside it so each
-        # cell keeps its serial/env-default resolution.
-        options = EngineOptions(executor="thread", cache=False, trace=False)
-        executor, n_workers, kwargs = grid_engine_kwargs(options, None, None, {})
-        assert executor == "thread"
-        assert kwargs == {"options": EngineOptions(cache=False, trace=False)}
-
-    def test_explicit_loose_plumbing_warns_and_wins(self):
-        options = EngineOptions(cache=False)
-        with pytest.warns(DeprecationWarning, match="table1: passing cache"):
-            _, _, kwargs = grid_engine_kwargs(
-                options, None, None, {"cache": True}, entry="table1"
-            )
-        assert kwargs == {"options": EngineOptions(cache=True)}
-
-    def test_no_entry_never_warns(self, recwarn):
-        grid_engine_kwargs(None, "thread", 2, {"cache": False})
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
 
 
 class TestResolveEnvPrecedence:
@@ -176,13 +134,15 @@ class TestResolveEnvPrecedence:
 
 
 class TestFitEquivalence:
-    """options= and the historical individual kwargs are interchangeable."""
+    """Science knobs given as kwargs or as options fields are interchangeable."""
 
     def test_options_bundle_matches_kwargs(self, simple_curve):
         family = make_model("quadratic")
-        via_kwargs = fit_least_squares(family, simple_curve, seed=5, **CHEAP)
+        via_kwargs = fit_least_squares(
+            family, simple_curve, seed=5, options=PLUMBING, **CHEAP
+        )
         via_options = fit_least_squares(
-            family, simple_curve, options=EngineOptions(seed=5, **CHEAP)
+            family, simple_curve, options=PLUMBING.replace(seed=5, **CHEAP)
         )
         assert via_options.model.params == via_kwargs.model.params
         assert via_options.sse == via_kwargs.sse
@@ -198,11 +158,13 @@ class TestFitEquivalence:
 
     def test_explicit_kwarg_overrides_options_field(self, simple_curve):
         family = make_model("quadratic")
-        reference = fit_least_squares(family, simple_curve, seed=5, **CHEAP)
+        reference = fit_least_squares(
+            family, simple_curve, seed=5, options=PLUMBING, **CHEAP
+        )
         overridden = fit_least_squares(
             family,
             simple_curve,
-            options=EngineOptions(seed=99, **CHEAP),
+            options=PLUMBING.replace(seed=99, **CHEAP),
             seed=5,
         )
         assert overridden.model.params == reference.model.params
@@ -210,9 +172,11 @@ class TestFitEquivalence:
 
     def test_fit_many_accepts_options(self, simple_curve):
         families = [make_model("quadratic"), make_model("competing_risks")]
-        via_kwargs = fit_many(families, simple_curve, seed=5, **CHEAP)
+        via_kwargs = fit_many(
+            families, simple_curve, seed=5, options=PLUMBING, **CHEAP
+        )
         via_options = fit_many(
-            families, simple_curve, options=EngineOptions(seed=5, **CHEAP)
+            families, simple_curve, options=PLUMBING.replace(seed=5, **CHEAP)
         )
         assert sorted(via_options) == sorted(via_kwargs)
         for name in via_kwargs:
@@ -274,68 +238,92 @@ class TestJsonRoundTrip:
             EngineOptions.from_json("[1, 2]")
 
 
-class TestDeprecatedLooseKwargs:
-    """The plumbing knobs still work loose, but draw a DeprecationWarning."""
+class TestLoosePlumbingRemoved:
+    """cache/trace/executor/n_workers travel only inside options=."""
 
-    def test_fit_least_squares_loose_plumbing_warns(self, simple_curve):
-        family = make_model("quadratic")
-        with pytest.warns(
-            DeprecationWarning, match="fit_least_squares: passing cache, trace"
-        ):
-            loose = fit_least_squares(
-                family, simple_curve, n_random_starts=2, cache=False, trace=False
+    @pytest.mark.parametrize("name", ["cache", "trace", "executor", "n_workers"])
+    def test_fit_least_squares_rejects_loose_plumbing(self, simple_curve, name):
+        with pytest.raises(TypeError, match=name):
+            fit_least_squares(
+                make_model("quadratic"), simple_curve, **{name: None}
             )
-        bundled = fit_least_squares(
-            family,
-            simple_curve,
-            n_random_starts=2,
-            options=EngineOptions(cache=False, trace=False),
+
+
+#: Every field name, plus JSON values of every shape for the fuzzer.
+FIELD_NAMES = [field.name for field in dataclasses.fields(EngineOptions)]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**40), max_value=2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(
+        ["auto", "analytic", "2-point", "scipy", "batched", "serial",
+         "thread", "process", "4", ""]
+    )
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestValidation:
+    """EngineOptions rejects bad values at construction, naming the field."""
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n_random_starts": "4"}, "n_random_starts"),
+            ({"n_random_starts": -1}, "n_random_starts"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -3}, "seed"),
+            ({"max_nfev": -5}, "max_nfev"),
+            ({"max_nfev": True}, "max_nfev"),
+            ({"n_workers": 0}, "n_workers"),
+            ({"n_workers": False}, "n_workers"),
+            ({"cache": "yes"}, "cache"),
+            ({"trace": 1}, "trace"),
+        ],
+    )
+    def test_bad_json_values_raise_parameter_error(self, payload, field):
+        with pytest.raises(ParameterError, match=f"EngineOptions.{field}"):
+            EngineOptions.from_json(json.dumps(payload))
+
+    def test_parameter_error_is_a_value_error(self):
+        # The CLI's --options-file handler maps ValueError to exit 1.
+        with pytest.raises(ValueError):
+            EngineOptions(n_workers=0)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"jac": "3-point"}, "jac must be one of"),
+            ({"engine": "turbo"}, "engine must be one of"),
+            ({"executor": "gpu"}, "unknown executor backend"),
+        ],
+    )
+    def test_resolver_errors_keep_fit_error(self, changes, message):
+        with pytest.raises(FitError, match=message):
+            EngineOptions(**changes)
+
+    def test_override_validates(self):
+        with pytest.raises(ParameterError, match="n_random_starts"):
+            EngineOptions().override(n_random_starts="8")
+
+    def test_component_instances_accepted(self):
+        options = EngineOptions(
+            cache=FitCache(), trace=Tracer(), executor=ThreadExecutor(2)
         )
-        assert loose.model.params == bundled.model.params
+        assert options.n_workers is None
+        assert EngineOptions(trace=NULL_TRACER, executor=SerialExecutor())
+        assert EngineOptions(executor=" Thread ").executor == " Thread "
 
-    def test_options_bundle_does_not_warn(self, simple_curve, recwarn):
-        fit_least_squares(
-            make_model("quadratic"),
-            simple_curve,
-            n_random_starts=2,
-            options=EngineOptions(cache=False, trace=False, executor="serial"),
-        )
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-    def test_science_kwargs_do_not_warn(self, simple_curve, recwarn):
-        fit_least_squares(
-            make_model("quadratic"),
-            simple_curve,
-            n_random_starts=2,
-            seed=3,
-            max_nfev=800,
-            jac="auto",
-            options=EngineOptions(cache=False, trace=False),
-        )
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-    def test_split_engine_kwargs_folds_into_options(self):
-        from repro.fitting.options import split_engine_kwargs
-
-        with pytest.warns(DeprecationWarning, match="my_entry: passing executor"):
-            options, remaining = split_engine_kwargs(
-                "my_entry", EngineOptions(seed=5), {"executor": "thread", "seed": 7}
-            )
-        assert options == EngineOptions(seed=5, executor="thread")
-        assert remaining == {"seed": 7}
-
-    def test_split_engine_kwargs_none_values_do_not_warn(self, recwarn):
-        from repro.fitting.options import split_engine_kwargs
-
-        options, remaining = split_engine_kwargs(
-            "my_entry", None, {"cache": None, "seed": 7}
-        )
-        assert options is None
-        assert remaining == {"seed": 7}
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(FIELD_NAMES), JSON_VALUES))
+    def test_any_json_object_builds_or_raises_repro_error(self, payload):
+        text = json.dumps(payload)
+        try:
+            options = EngineOptions.from_json(text)
+        except ReproError:
+            return
+        assert EngineOptions.from_json(options.to_json()) == options

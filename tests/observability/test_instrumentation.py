@@ -14,6 +14,7 @@ import pytest
 from repro.datasets.recessions import load_recession
 from repro.fitting.cache import FitCache
 from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
 from repro.observability.tracer import Tracer, activate, disable_tracing
 from repro.parallel import get_executor
@@ -34,8 +35,8 @@ class TestFitInstrumentation:
     def test_fit_span_carries_solver_attribution(self, curve):
         tracer = Tracer()
         fit_least_squares(
-            make_model("quadratic"), curve, n_random_starts=3, trace=tracer,
-            cache=False,
+            make_model("quadratic"), curve, n_random_starts=3,
+            options=EngineOptions(trace=tracer, cache=False),
         )
         (fit_span,) = tracer.spans_named("fit")
         attrs = fit_span["attrs"]
@@ -49,8 +50,8 @@ class TestFitInstrumentation:
     def test_per_start_spans_parented_to_fit(self, curve):
         tracer = Tracer()
         result = fit_least_squares(
-            make_model("quadratic"), curve, n_random_starts=3, trace=tracer,
-            cache=False,
+            make_model("quadratic"), curve, n_random_starts=3,
+            options=EngineOptions(trace=tracer, cache=False),
         )
         (fit_span,) = tracer.spans_named("fit")
         starts = tracer.spans_named("fit.start")
@@ -64,8 +65,9 @@ class TestFitInstrumentation:
         cache = FitCache()
         tracer = Tracer()
         family = make_model("quadratic")
-        fit_least_squares(family, curve, trace=tracer, cache=cache)
-        fit_least_squares(family, curve, trace=tracer, cache=cache)
+        options = EngineOptions(trace=tracer, cache=cache)
+        fit_least_squares(family, curve, options=options)
+        fit_least_squares(family, curve, options=options)
         cold, warm = tracer.spans_named("fit")
         assert cold["attrs"]["cache_hit"] is False
         assert warm["attrs"]["cache_hit"] is True
@@ -75,9 +77,12 @@ class TestFitInstrumentation:
 
     def test_tracing_does_not_change_results(self, curve):
         family = make_model("quadratic")
-        plain = fit_least_squares(family, curve, n_random_starts=3, cache=False)
+        plain = fit_least_squares(
+            family, curve, n_random_starts=3, options=EngineOptions(cache=False)
+        )
         traced = fit_least_squares(
-            family, curve, n_random_starts=3, cache=False, trace=Tracer()
+            family, curve, n_random_starts=3,
+            options=EngineOptions(cache=False, trace=Tracer()),
         )
         np.testing.assert_array_equal(plain.model.params, traced.model.params)
         assert plain.sse == traced.sse
@@ -87,7 +92,9 @@ class TestFitInstrumentation:
         tracer = Tracer()
         with activate(tracer):
             fit_least_squares(
-                make_model("quadratic"), curve, trace=False, cache=False
+                make_model("quadratic"),
+                curve,
+                options=EngineOptions(trace=False, cache=False),
             )
         assert tracer.spans == []
 
@@ -132,7 +139,7 @@ class TestGridInstrumentation:
         from repro.analysis.experiments import table2
 
         tracer = Tracer()
-        table2("1990-93", n_random_starts=2, trace=tracer)
+        table2("1990-93", n_random_starts=2, options=EngineOptions(trace=tracer))
         grids = tracer.spans_named("table.metrics")
         assert len(grids) == 1
         fits = tracer.spans_named("fit")

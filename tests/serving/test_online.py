@@ -265,7 +265,9 @@ class TestFinalize:
                 forecaster.refit()
         final = forecaster.finalize()
         oneshot = fit_least_squares(
-            make_model("quadratic"), recession_1990, cache=False, trace=False
+            make_model("quadratic"),
+            recession_1990,
+            options=EngineOptions(cache=False, trace=False),
         )
         assert final.model.params == oneshot.model.params
         assert final.sse == oneshot.sse

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -233,6 +234,83 @@ class TestProtocol:
             await client.send_raw(batch)
             for n in range(20):
                 assert (await client.read())["id"] == n
+
+        serve(body)
+
+
+#: Requests the wire boundary must answer with a 400, keeping the
+#: connection (and every stream) usable afterwards.
+BAD_REQUESTS = [
+    pytest.param({"op": "forecast", "key": "s1", "n_points": "abc"}, id="n_points-string"),
+    pytest.param({"op": "forecast", "key": "s1", "n_points": 10**9}, id="n_points-huge"),
+    pytest.param({"op": "forecast", "key": "s1", "n_points": True}, id="n_points-bool"),
+    pytest.param({"op": "forecast", "key": "s1", "confidence": 5}, id="confidence-5"),
+    pytest.param({"op": "forecast", "key": "s1", "horizon": float("nan")}, id="horizon-nan"),
+    pytest.param({"op": "forecast", "key": "s1", "horizon": float("inf")}, id="horizon-inf"),
+    pytest.param({"op": "report", "key": "s1", "horizon": float("nan")}, id="report-horizon-nan"),
+    pytest.param({"op": "register", "key": "s2", "nominal": float("nan")}, id="nominal-nan"),
+    pytest.param({"op": "no-such-op", "key": "s1"}, id="unknown-op"),
+    pytest.param({"op": "forecast", "key": "s1", "horizon": 10**400}, id="horizon-huge-int"),
+    pytest.param({"op": "forecast", "key": "s1", "confidence": 10**400}, id="confidence-huge-int"),
+    pytest.param({"op": "register", "key": "s2", "nominal": 10**400}, id="nominal-huge-int"),
+    pytest.param({"op": "ping", "deadline_ms": 10**400}, id="deadline-huge-int"),
+    pytest.param({"op": "ping", "deadline_ms": "soon"}, id="deadline-string"),
+]
+
+# Lines json.loads rejects with something other than JSONDecodeError.
+UNPARSABLE_LINES = [
+    pytest.param(b'{"op": "ping", "deadline_ms": ' + b"1" * 5000 + b"}", id="int-past-digit-limit"),
+    pytest.param(b"[" * 100_000, id="nesting-past-recursion-limit"),
+    pytest.param(b'{"op": "ping", "key": "\xff"}', id="bad-utf8"),
+]
+
+
+class TestBadRequests:
+    @pytest.mark.parametrize("request_body", BAD_REQUESTS)
+    def test_bad_request_is_a_400_and_the_connection_survives(self, request_body):
+        async def body(server, client):
+            await client.fill("s1")
+            response = await client.rpc(id=1, **request_body)
+            assert not response["ok"]
+            assert response["error"]["code"] == 400
+            assert response["error"]["type"] == "ProtocolError"
+            good = await client.rpc(id=2, op="forecast", key="s1", horizon=5)
+            assert good["ok"] and good["id"] == 2
+            assert all(math.isfinite(v) for v in good["result"]["center"])
+            # A rejected register leaves no stream behind to poison.
+            assert "s2" not in server.session
+
+        serve(body)
+
+    @pytest.mark.parametrize("line", UNPARSABLE_LINES)
+    def test_unparsable_line_is_a_400_and_the_connection_survives(self, line):
+        async def body(server, client):
+            await client.send_raw(line + b"\n")
+            response = await client.read()
+            assert response["error"]["code"] == 400
+            assert response["error"]["type"] == "ProtocolError"
+            assert (await client.rpc(op="ping"))["ok"]
+
+        serve(body)
+
+    def test_bogus_ops_keep_latency_histograms_bounded(self):
+        async def body(server, client):
+            await client.send_raw(
+                b"".join(
+                    json.dumps({"id": i, "op": f"bogus-{i}"}).encode() + b"\n"
+                    for i in range(1000)
+                )
+            )
+            for i in range(1000):
+                response = await client.read()
+                assert response["id"] == i and response["error"]["code"] == 400
+            assert (await client.rpc(op="ping"))["ok"]
+            histograms = server.metrics.snapshot()["histograms"]
+            assert set(histograms) <= {
+                "serve.latency_ms",
+                "serve.latency_ms.invalid",
+                *(f"serve.latency_ms.{op}" for op in SERVER_OPS),
+            }
 
         serve(body)
 

@@ -129,14 +129,25 @@ class TestOptionsFile:
         path = tmp_path / "engine.json"
         path.write_text('{"executor": "thread", "n_workers": 2, "seed": 7}')
         args = build_parser().parse_args(
-            ["fit", "quadratic", "1990-93",
-             "--options-file", str(path), "--executor", "serial"]
+            ["table", "1", "--options-file", str(path), "--executor", "serial"]
         )
         args.tracer = None
         options = _engine_options(args)
         assert options.executor == "serial"  # flag wins
         assert options.n_workers == 2  # file survives where no flag given
         assert options.seed == 7
+
+    def test_single_fit_takes_no_executor_flags(self, capsys):
+        # One fit solves its starts in order; the executor only
+        # parallelizes grids, so `fit` does not offer the knob.
+        for flag in (["--executor", "thread"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["fit", "quadratic", "1990-93", *flag])
+            assert excinfo.value.code == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fit", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--engine" in help_text and "--executor" not in help_text
 
     def test_unknown_key_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "engine.json"

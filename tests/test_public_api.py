@@ -40,7 +40,7 @@ def test_no_public_surface_drift():
 
 
 def test_version_matches_package_metadata():
-    assert repro.__version__ == "1.1.0"
+    assert repro.__version__ == "2.0.0"
 
 
 def test_serving_surface_is_pinned():
