@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the JSON summary to PATH instead of stdout",
     )
-    _add_grid_arguments(fit_fleet)
+    _add_engine_arguments(fit_fleet)
 
     table = sub.add_parser("table", help="regenerate a table from the paper")
     table.add_argument("number", choices=["1", "2", "3", "4", "I", "II", "III", "IV"])

@@ -4,7 +4,10 @@ The scipy engine answers each (curve, model, start) triple with its own
 ``optimize.least_squares`` call. On the paper's table grids that means
 thousands of tiny 31-point solves, each paying Python dispatch for every
 residual and Jacobian evaluation — the profile is dominated by per-call
-overhead, not arithmetic. This module stacks all active problems into
+overhead, not arithmetic. The fit core in :mod:`repro.fitting.least_squares`
+(one fit, or every cell of a fleet) therefore *screens* starts with one
+:func:`solve_batched` call here and confirms each cell's winner with
+scipy. This module stacks all active problems into
 ``(P, n)`` residual and ``(P, n, k)`` Jacobian arrays (via the models'
 ``evaluate_batch``/``prediction_jacobian_batch`` protocol) and runs one
 classic damped Levenberg–Marquardt iteration across the whole batch:
@@ -14,9 +17,9 @@ classic damped Levenberg–Marquardt iteration across the whole batch:
 * the normal equations of every active problem are solved in one
   batched ``np.linalg.solve`` on ``(P, k, k)`` systems;
 * box bounds are enforced by projecting each trial step onto the
-  feasible box (the winning start is re-polished by scipy's
-  trust-region-reflective solver in ``fit_least_squares``, so the final
-  optimum is always a scipy-converged point — the golden-table oracle);
+  feasible box (the winning start is re-solved by scipy's
+  trust-region-reflective solver in the fit core, so the final optimum
+  is always a scipy-converged point — the golden-table oracle);
 * converged problems are *frozen out* of the active index set: their
   parameters and counters never move again, and stragglers no longer pay
   for finished work;
@@ -64,8 +67,9 @@ ENGINE_NAMES = ("scipy", "batched")
 #: Environment variable supplying the default engine when ``engine=None``.
 ENGINE_ENV_VAR = "REPRO_FIT_ENGINE"
 
-#: Penalty scale — must match ``least_squares._PENALTY_SCALE`` so both
-#: engines optimize the identical objective (asserted by the test suite).
+#: Magnitude of the penalty that replaces non-finite residuals. The one
+#: definition for both engines: :mod:`repro.fitting.least_squares`
+#: imports it, so scipy and this kernel optimize the identical objective.
 _PENALTY_SCALE = 1e6
 
 #: Damping schedule: accepted steps divide λ, rejected steps multiply

@@ -35,7 +35,7 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "default_fit_cache",
     "default_cache_maxsize",
     "resolve_cache",
-    "sequence_of_vectors",
 ]
 
 logger = logging.getLogger("repro.fitting.cache")
@@ -343,12 +342,3 @@ def resolve_cache(spec: "bool | FitCache | None") -> FitCache | None:
     raise TypeError(
         f"cache must be a bool, None, or FitCache, got {type(spec).__name__}"
     )
-
-
-def sequence_of_vectors(
-    starts: Sequence[Sequence[float]] | None,
-) -> list[list[float]] | None:
-    """Canonical nested-list form of start vectors for cache keys."""
-    if starts is None:
-        return None
-    return [[float(v) for v in vector] for vector in starts]

@@ -1,27 +1,27 @@
-"""Fleet-scale fitting: one batched LM solve across episodes.
+"""Fleet-scale fitting: every ``(episode, family)`` cell through one core.
 
-PR 6's :mod:`repro.fitting.batched` kernel stacks the multi-start
-problems of a *single* ``(curve, family)`` fit; fleets still paid a
-Python-level loop per episode. :func:`fit_fleet` removes that loop by
-stacking **episodes × families × starts** into the same kernel:
+:func:`fit_fleet` turns each chunk of episodes into one
+``(episode, family)`` cell per viable pair and hands the whole chunk to
+the same core a single :func:`~repro.fitting.fit_least_squares` call
+uses, ``repro.fitting.least_squares._solve_cells``:
 
-* Problems are grouped by ``(family fingerprint, padded length,
-  jac mode)`` — the batched kernel's own bucketing — so every episode
-  of a given length advances through the damped-LM iteration in
-  lockstep with every other.
+* Under ``engine="batched"`` the core stacks **episodes × families ×
+  starts** into one call of the :mod:`repro.fitting.batched` kernel,
+  which groups problems by ``(family fingerprint, padded length, jac
+  mode)`` so every episode of a given length advances through the
+  damped-LM iteration in lockstep with every other.
 * Ragged episode lengths inside a chunk are padded up to a
   ``length_bucket`` multiple with **zero-weight** observations
-  (repeating the final sample). A zero weight multiplies the padded
-  row's residual and Jacobian by exactly ``0.0``, so padding changes
-  nothing about a problem's trajectory beyond last-ulp summation
-  noise — which the winner-selection band of
+  (repeating the final sample) for that screen only. A zero weight
+  multiplies the padded row's residual and Jacobian by exactly ``0.0``,
+  so padding changes nothing about a problem's trajectory beyond
+  last-ulp summation noise — which the winner-selection band of
   :mod:`repro.fitting.least_squares` absorbs by design.
-* The screen-then-confirm contract is inherited verbatim: per
-  ``(episode, family)`` the winning start is re-solved by scipy from
-  its original x0 through the *same* reduction helper the single-fit
-  path uses, so fleet winners are **bit-identical** (params and SSE)
-  to looping :func:`~repro.fitting.fit_least_squares` over the
-  episodes.
+* Each cell is then reduced and confirmed by scipy on the unpadded
+  episode exactly as a single fit is, so fleet winners are
+  **bit-identical** (params and SSE) to looping
+  :func:`~repro.fitting.fit_least_squares` over the episodes, on either
+  engine. Under ``engine="scipy"`` the core solves every start in order.
 
 Episodes stream in fixed-size chunks — from an
 :class:`~repro.datasets.store.EpisodeStore` (memory-mapped columns) or
@@ -32,7 +32,7 @@ episode), keeping million-episode fleets in reach.
 Fleet fits default to **cache-off**: synthetic fleets never repeat a
 ``(family, curve, config)`` key, so the LRU would only churn. Pass
 ``options=EngineOptions(cache=True)`` (or an explicit cache) to opt back
-in; only the ``engine="scipy"`` reference loop consults it.
+in, on either engine.
 """
 
 from __future__ import annotations
@@ -47,22 +47,21 @@ import numpy as np
 from repro.core.curve import ResilienceCurve
 from repro.datasets.store import EpisodeStore
 from repro.exceptions import FitError
-from repro.fitting.batched import BatchedProblem, resolve_engine, solve_batched
-from repro.fitting.cache import FitCache
+from repro.fitting.batched import resolve_engine
+from repro.fitting.cache import resolve_cache
 from repro.fitting.least_squares import (
+    _Cell,
+    _plan_cell,
     _resolve_jac_mode,
-    _select_and_confirm,
-    fit_least_squares,
+    _solve_cells,
 )
-from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
     EngineOptions,
 )
 from repro.models.base import ResilienceModel
 from repro.models.registry import make_model
-from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import get_executor
+from repro.observability.tracer import resolve_tracer
 
 __all__ = ["EpisodeFamilyFit", "FleetFitResult", "fit_fleet"]
 
@@ -189,79 +188,66 @@ class FleetFitResult:
         }
 
 
+#: Per-cell result columns besides ``params``: (dtype, value a cell
+#: keeps until it fits — every cell starts out failed).
+_COLUMNS: dict[str, tuple[type, Any]] = {
+    "sse": (np.float64, np.nan),
+    "converged": (np.bool_, False),
+    "failed": (np.bool_, True),
+    "n_starts": (np.int64, 0),
+    "n_failures": (np.int64, 0),
+    "winner_start": (np.int64, -1),
+    "nfev": (np.int64, 0),
+    "njev": (np.int64, 0),
+}
+
+
 class _FamilyAccumulator:
     """Columnar per-family result accumulator, appended chunk-wise."""
 
     def __init__(self, family: ResilienceModel) -> None:
         self.family = family
-        self.params: list[np.ndarray] = []
-        self.sse: list[np.ndarray] = []
-        self.converged: list[np.ndarray] = []
-        self.failed: list[np.ndarray] = []
-        self.n_starts: list[np.ndarray] = []
-        self.n_failures: list[np.ndarray] = []
-        self.winner_start: list[np.ndarray] = []
-        self.nfev: list[np.ndarray] = []
-        self.njev: list[np.ndarray] = []
+        self.chunks: list[dict[str, np.ndarray]] = []
 
     def new_chunk(self, size: int) -> dict[str, np.ndarray]:
         """Fresh per-chunk arrays, pre-marked as failed."""
         chunk = {
-            "params": np.full((size, self.family.n_params), np.nan),
-            "sse": np.full(size, np.nan),
-            "converged": np.zeros(size, dtype=bool),
-            "failed": np.ones(size, dtype=bool),
-            "n_starts": np.zeros(size, dtype=np.int64),
-            "n_failures": np.zeros(size, dtype=np.int64),
-            "winner_start": np.full(size, -1, dtype=np.int64),
-            "nfev": np.zeros(size, dtype=np.int64),
-            "njev": np.zeros(size, dtype=np.int64),
+            name: np.full(size, fill, dtype=dtype)
+            for name, (dtype, fill) in _COLUMNS.items()
         }
-        self.params.append(chunk["params"])
-        self.sse.append(chunk["sse"])
-        self.converged.append(chunk["converged"])
-        self.failed.append(chunk["failed"])
-        self.n_starts.append(chunk["n_starts"])
-        self.n_failures.append(chunk["n_failures"])
-        self.winner_start.append(chunk["winner_start"])
-        self.nfev.append(chunk["nfev"])
-        self.njev.append(chunk["njev"])
+        chunk["params"] = np.full((size, self.family.n_params), np.nan)
+        self.chunks.append(chunk)
         return chunk
 
     def column(self, name: str) -> np.ndarray:
         """Concatenate one accumulated column."""
-        parts: list[np.ndarray] = getattr(self, name)
-        if not parts:
-            width = self.family.n_params if name == "params" else None
-            if width is not None:
-                return np.empty((0, width))
+        if not self.chunks:
+            if name == "params":
+                return np.empty((0, self.family.n_params))
             return np.empty(0)
-        return np.concatenate(parts)
+        return np.concatenate([chunk[name] for chunk in self.chunks])
 
 
-def _bucket_length(n_points: int, length_bucket: int) -> int:
-    """Smallest multiple of *length_bucket* that is ≥ *n_points*."""
-    return ((n_points + length_bucket - 1) // length_bucket) * length_bucket
-
-
-def _padded_problem_arrays(
-    curve: ResilienceCurve, padded_length: int
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...] | None]:
-    """Times/targets/sqrt-weights for *curve* padded to *padded_length*.
+def _padded_screen(
+    curve: ResilienceCurve, length_bucket: int
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]] | None:
+    """Times/targets/sqrt-weights for *curve* padded up to the next
+    multiple of *length_bucket*, or None when it already is one.
 
     Padding repeats the final observation with weight zero: the padded
     rows multiply out to exact zeros in the residual and Jacobian, so
     they cannot change the solve (beyond last-ulp reduction order).
     """
+    pad = -len(curve) % length_bucket
+    if pad == 0:
+        return None
     times = tuple(float(v) for v in curve.times)
     targets = tuple(float(v) for v in curve.performance)
-    pad = padded_length - len(times)
-    if pad <= 0:
-        return times, targets, None
-    times = times + (times[-1],) * pad
-    targets = targets + (targets[-1],) * pad
-    sqrt_weights = (1.0,) * len(curve) + (0.0,) * pad
-    return times, targets, sqrt_weights
+    return (
+        times + (times[-1],) * pad,
+        targets + (targets[-1],) * pad,
+        (1.0,) * len(curve) + (0.0,) * pad,
+    )
 
 
 def _iter_episode_chunks(
@@ -280,64 +266,6 @@ def _iter_episode_chunks(
             block = []
     if block:
         yield block
-
-
-class _EpisodeGridWork(NamedTuple):
-    """Picklable work unit: the full family grid for one episode."""
-
-    curve: ResilienceCurve
-    families: tuple[ResilienceModel, ...]
-    options: EngineOptions
-
-
-def _fit_episode_grid(
-    work: _EpisodeGridWork,
-) -> list[tuple[tuple[float, ...], float, bool, bool, int, int, int, int, int]]:
-    """Loop one episode through every family with scipy fits.
-
-    Returns one ``(params, sse, converged, failed, n_starts,
-    n_failures, winner_start, nfev, njev)`` tuple per family (the
-    per-episode reference path the batched engine is measured against).
-    """
-    rows = []
-    for family in work.families:
-        try:
-            fit = fit_least_squares(family, work.curve, options=work.options)
-        except FitError as exc:  # includes ConvergenceError
-            logger.debug(
-                "fit_fleet: %r failed on %r: %s",
-                family.name,
-                work.curve.name,
-                exc,
-            )
-            rows.append(
-                ((float("nan"),) * family.n_params, float("nan"), False,
-                 True, 0, 0, -1, 0, 0)
-            )
-            continue
-        rows.append(
-            (
-                fit.model.params,
-                float(fit.sse),
-                bool(fit.converged),
-                False,
-                int(fit.n_starts),
-                int(fit.n_failures),
-                int(fit.details.get("winner_start", -1)),
-                int(fit.details.get("nfev", 0)),
-                int(fit.details.get("njev", 0)),
-            )
-        )
-    return rows
-
-
-class _CellPlan(NamedTuple):
-    """Bookkeeping for one (episode, family) cell's batched problems."""
-
-    episode_slot: int
-    family_slot: int
-    curve: ResilienceCurve
-    start_vectors: list[tuple[float, ...]]
 
 
 def fit_fleet(
@@ -370,11 +298,10 @@ def fit_fleet(
         :func:`~repro.fitting.fit_least_squares`. Its ``cache``
         defaults to **off** for fleet fits (synthetic episodes never
         repeat a cache key; pass ``True`` or a
-        :class:`~repro.fitting.cache.FitCache` to opt in) and is
-        consulted only by ``engine="scipy"`` — the batched fleet path
-        never reads the cache. ``executor``/``n_workers`` parallelize
-        the scipy path's episode loop; ``trace`` wraps the call in one
-        ``"fit.fleet"`` span.
+        :class:`~repro.fitting.cache.FitCache` to opt in, on either
+        engine). ``trace`` wraps the call in one ``"fit.fleet"`` span.
+        Like a single fit, a fleet solves in the calling thread: its
+        ``executor``/``n_workers`` are not used.
     chunk_size:
         Episodes fitted per batched solve. Peak memory scales with
         ``chunk_size × families × starts × grid length`` and is
@@ -393,9 +320,9 @@ def fit_fleet(
         SSE agreement to ~1e-8 instead of bit-identity.
     engine:
         ``"batched"`` (cross-episode stacking, the point of this
-        function) or ``"scipy"`` (the per-episode reference loop,
-        parallelized over ``options.executor``). ``None`` defers to
-        ``options.engine`` then ``REPRO_FIT_ENGINE``.
+        function) or ``"scipy"`` (every start solved by scipy in
+        order). ``None`` defers to ``options.engine`` then
+        ``REPRO_FIT_ENGINE``.
     n_random_starts, seed, max_nfev, jac:
         As in :func:`~repro.fitting.fit_least_squares`.
 
@@ -412,10 +339,6 @@ def fit_fleet(
         jac=jac,
         engine=engine,
     )
-    # The fleet-specific default: no caching unless the options bundle
-    # chooses it (None normally means "defer to the environment default
-    # cache").
-    fleet_cache: bool | FitCache = False if opts.cache is None else opts.cache
     if chunk_size < 1:
         raise FitError(f"chunk_size must be >= 1, got {chunk_size}")
     if length_bucket < 1:
@@ -431,19 +354,11 @@ def fit_fleet(
         raise FitError(f"duplicate family names in fleet grid: {names}")
     engine_mode = resolve_engine(opts.engine)
     tracer = resolve_tracer(opts.trace)
-    jac_modes = [
-        _resolve_jac_mode(family, opts.jac) for family in resolved_families
-    ]
-    bounds = [
-        (
-            tuple(float(v) for v in family.lower_bounds),
-            tuple(float(v) for v in family.upper_bounds),
-        )
-        for family in resolved_families
-    ]
-    start_kwargs: dict[str, int] = (
-        {} if opts.seed is None else {"seed": opts.seed}
-    )
+    # None normally means "the environment default cache"; a fleet
+    # caches only when the options bundle chooses it.
+    cache = resolve_cache(False if opts.cache is None else opts.cache)
+    for family in resolved_families:
+        _resolve_jac_mode(family, opts.jac)  # raises before any solve
     accumulators = [_FamilyAccumulator(family) for family in resolved_families]
     t0 = time.perf_counter()
     n_episodes = 0
@@ -458,28 +373,58 @@ def fit_fleet(
             size = len(chunk)
             n_episodes += size
             chunk_columns = [acc.new_chunk(size) for acc in accumulators]
-            if engine_mode == "batched":
-                _fit_chunk_batched(
-                    chunk,
-                    resolved_families,
-                    jac_modes,
-                    bounds,
-                    chunk_columns,
-                    opts=opts,
-                    start_kwargs=start_kwargs,
-                    length_bucket=length_bucket,
-                    confirm=confirm,
-                    tracer=tracer,
-                )
-            else:
-                _fit_chunk_scipy(
-                    chunk,
-                    resolved_families,
-                    chunk_columns,
-                    opts=opts,
-                    fleet_cache=fleet_cache,
-                    tracer=tracer,
-                )
+            cells: list[_Cell] = []
+            slots: list[tuple[int, int]] = []
+            for episode_slot, curve in enumerate(chunk):
+                screen = None
+                if engine_mode == "batched":
+                    screen = _padded_screen(curve, length_bucket)
+                for family_slot, family in enumerate(resolved_families):
+                    try:
+                        cell = _plan_cell(
+                            family, curve, n_random_starts=opts.n_random_starts,
+                            seed=opts.seed, max_nfev=opts.max_nfev, jac=opts.jac,
+                        )
+                    except FitError as exc:  # e.g. too few observations
+                        logger.debug(
+                            "fit_fleet: %r not fitted to %r: %s",
+                            family.name,
+                            curve.name,
+                            exc,
+                        )
+                        continue
+                    cells.append(cell._replace(screen=screen))
+                    slots.append((episode_slot, family_slot))
+            solves = _solve_cells(
+                cells,
+                engine_mode=engine_mode,
+                cache=cache,
+                tracer=tracer,
+                confirm=confirm,
+            )
+            for (episode_slot, family_slot), cell, solve in zip(slots, cells, solves):
+                columns = chunk_columns[family_slot]
+                n_starts = len(cell.start_vectors)
+                columns["n_starts"][episode_slot] = n_starts
+                selection = solve.selection
+                if selection is None:
+                    logger.debug(
+                        "fit_fleet: %r failed on %r: %s",
+                        cell.family.name,
+                        cell.curve.name,
+                        solve.error,
+                    )
+                    columns["n_failures"][episode_slot] = n_starts
+                    continue
+                columns["params"][episode_slot] = selection.vector
+                columns["sse"][episode_slot] = selection.sse
+                columns["converged"][episode_slot] = selection.converged
+                columns["failed"][episode_slot] = False
+                columns["n_failures"][episode_slot] = selection.failures
+                columns["winner_start"][episode_slot] = selection.winner_index
+                nfev, njev = solve.totals()
+                columns["nfev"][episode_slot] = nfev
+                columns["njev"][episode_slot] = njev
             if tracer.enabled:
                 tracer.record(
                     "fleet.chunk",
@@ -488,196 +433,22 @@ def fit_fleet(
                     engine=engine_mode,
                 )
     seconds = time.perf_counter() - t0
+    columns = {
+        field: {name: acc.column(field) for name, acc in zip(names, accumulators)}
+        for field in ("params", *_COLUMNS)
+    }
     return FleetFitResult(
         families=tuple(names),
         n_episodes=n_episodes,
         engine=engine_mode,
-        params={
-            name: acc.column("params")
-            for name, acc in zip(names, accumulators)
-        },
-        sse={
-            name: acc.column("sse") for name, acc in zip(names, accumulators)
-        },
-        converged={
-            name: acc.column("converged")
-            for name, acc in zip(names, accumulators)
-        },
-        failed={
-            name: acc.column("failed")
-            for name, acc in zip(names, accumulators)
-        },
-        n_starts={
-            name: acc.column("n_starts")
-            for name, acc in zip(names, accumulators)
-        },
-        n_failures={
-            name: acc.column("n_failures")
-            for name, acc in zip(names, accumulators)
-        },
-        winner_start={
-            name: acc.column("winner_start")
-            for name, acc in zip(names, accumulators)
-        },
-        nfev={
-            name: acc.column("nfev") for name, acc in zip(names, accumulators)
-        },
-        njev={
-            name: acc.column("njev") for name, acc in zip(names, accumulators)
-        },
+        params=columns["params"],
+        sse=columns["sse"],
+        converged=columns["converged"],
+        failed=columns["failed"],
+        n_starts=columns["n_starts"],
+        n_failures=columns["n_failures"],
+        winner_start=columns["winner_start"],
+        nfev=columns["nfev"],
+        njev=columns["njev"],
         seconds=seconds,
     )
-
-
-def _fit_chunk_batched(
-    chunk: list[ResilienceCurve],
-    families: list[ResilienceModel],
-    jac_modes: list[str],
-    bounds: list[tuple[tuple[float, ...], tuple[float, ...]]],
-    chunk_columns: list[dict[str, np.ndarray]],
-    *,
-    opts: EngineOptions,
-    start_kwargs: dict[str, int],
-    length_bucket: int,
-    confirm: bool,
-    tracer: Any,
-) -> None:
-    """Fit one chunk through the cross-episode batched kernel.
-
-    Every viable ``(episode, family, start)`` triple becomes one
-    :class:`~repro.fitting.batched.BatchedProblem`; the kernel groups
-    them by (family, padded length, jac mode) and advances each group
-    in lockstep. Reduction and scipy confirmation then run per cell
-    through the same helper as the single-fit path.
-    """
-    problems: list[BatchedProblem] = []
-    plans: list[_CellPlan] = []
-    for episode_slot, curve in enumerate(chunk):
-        padded_length = _bucket_length(len(curve), length_bucket)
-        padded: tuple[
-            tuple[float, ...], tuple[float, ...], tuple[float, ...] | None
-        ] | None = None
-        for family_slot, family in enumerate(families):
-            if len(curve) <= family.n_params:
-                logger.debug(
-                    "fit_fleet: %r too short for %r (%d points)",
-                    curve.name,
-                    family.name,
-                    len(curve),
-                )
-                continue
-            if padded is None:
-                padded = _padded_problem_arrays(curve, padded_length)
-            times, targets, sqrt_weights = padded
-            start_vectors = generate_starts(
-                family,
-                curve,
-                n_random=opts.n_random_starts,
-                **start_kwargs,
-            )
-            lower, upper = bounds[family_slot]
-            for start in start_vectors:
-                problems.append(
-                    BatchedProblem(
-                        family,
-                        times,
-                        targets,
-                        start,
-                        lower,
-                        upper,
-                        opts.max_nfev,
-                        sqrt_weights,
-                        jac_modes[family_slot],
-                    )
-                )
-            plans.append(
-                _CellPlan(episode_slot, family_slot, curve, start_vectors)
-            )
-    outcomes = solve_batched(problems)
-    cursor = 0
-    for plan in plans:
-        n_starts = len(plan.start_vectors)
-        cell_outcomes = outcomes[cursor : cursor + n_starts]
-        cursor += n_starts
-        family = families[plan.family_slot]
-        lower, upper = bounds[plan.family_slot]
-        columns = chunk_columns[plan.family_slot]
-        columns["n_starts"][plan.episode_slot] = n_starts
-        try:
-            selection = _select_and_confirm(
-                family,
-                plan.curve,
-                plan.start_vectors,
-                cell_outcomes,
-                lower=lower,
-                upper=upper,
-                max_nfev=opts.max_nfev,
-                sqrt_weights=None,
-                jac_mode=jac_modes[plan.family_slot],
-                engine_mode="batched" if confirm else "scipy",
-                tracer=tracer,
-            )
-        except FitError as exc:  # every start failed (ConvergenceError)
-            logger.debug(
-                "fit_fleet: %r failed on %r: %s",
-                family.name,
-                plan.curve.name,
-                exc,
-            )
-            columns["n_failures"][plan.episode_slot] = n_starts
-            continue
-        columns["params"][plan.episode_slot] = selection.vector
-        columns["sse"][plan.episode_slot] = selection.sse
-        columns["converged"][plan.episode_slot] = selection.converged
-        columns["failed"][plan.episode_slot] = False
-        columns["n_failures"][plan.episode_slot] = selection.failures
-        columns["winner_start"][plan.episode_slot] = selection.winner_index
-        columns["nfev"][plan.episode_slot] = (
-            sum(outcome.nfev for outcome in cell_outcomes)
-            + selection.confirm_nfev
-            + selection.polish_nfev
-        )
-        columns["njev"][plan.episode_slot] = (
-            sum(outcome.njev for outcome in cell_outcomes)
-            + selection.confirm_njev
-            + selection.polish_njev
-        )
-
-
-def _fit_chunk_scipy(
-    chunk: list[ResilienceCurve],
-    families: list[ResilienceModel],
-    chunk_columns: list[dict[str, np.ndarray]],
-    *,
-    opts: EngineOptions,
-    fleet_cache: bool | FitCache,
-    tracer: Any,
-) -> None:
-    """Fit one chunk with the per-episode scipy loop (reference path).
-
-    Episodes are independent, so the loop runs on the configured
-    executor; results are reduced in episode order, identical on every
-    backend.
-    """
-    fit_options = opts.replace(engine="scipy", cache=fleet_cache)
-    work_units = [
-        _EpisodeGridWork(curve, tuple(families), fit_options) for curve in chunk
-    ]
-    with activate(tracer):
-        grids = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _fit_episode_grid, work_units
-        )
-    for episode_slot, rows in enumerate(grids):
-        for family_slot, row in enumerate(rows):
-            columns = chunk_columns[family_slot]
-            (params, sse, converged, failed, n_starts, n_failures,
-             winner_start, nfev, njev) = row
-            columns["params"][episode_slot] = params
-            columns["sse"][episode_slot] = sse
-            columns["converged"][episode_slot] = converged
-            columns["failed"][episode_slot] = failed
-            columns["n_starts"][episode_slot] = n_starts
-            columns["n_failures"][episode_slot] = n_failures
-            columns["winner_start"][episode_slot] = winner_start
-            columns["nfev"][episode_slot] = nfev
-            columns["njev"][episode_slot] = njev

@@ -1,35 +1,35 @@
 """The least-squares fitting engine (Eq. 8).
 
 ``fit_least_squares`` minimizes ``Σᵢ (R(tᵢ) − P(tᵢ))²`` over the
-model's bounded parameter space with scipy's trust-region-reflective
-least squares, trying every multi-start point in order and keeping
+model's bounded parameter space by multi-start least squares and keeps
 the best optimum. Parallelism lives one level up: the grid entry points
 (:func:`fit_many`, the table sweeps, the episode scorecard) run whole
 fits as independent cells on a :class:`~repro.parallel.FitExecutor`.
 
-Two layers keep the engine cheap:
+Every multi-start solve — one fit here, or every ``(episode, family)``
+cell of :func:`~repro.fitting.fleet.fit_fleet` — goes through one core.
+``_plan_cell`` validates a request and builds its cell; ``_solve_cells``
+looks each cell up in the :class:`~repro.fitting.cache.FitCache`,
+*screens* the remaining cells' starts in one go, and reduces each cell
+through ``_select_and_confirm``. The screen depends on the engine:
 
-* **Analytic Jacobians** — families that expose
-  :meth:`~repro.models.base.ResilienceModel.prediction_jacobian` in
-  closed form (the quadratic, the Hjorth competing-risks model, and all
-  Exp/Weibull mixtures under every trend) hand scipy an exact ``jac=``
-  callable instead of letting it rebuild the Jacobian by finite
-  differences, cutting residual evaluations by roughly the parameter
-  count.
-* **Fit caching** — results are memoized in a content-addressed
-  :class:`~repro.fitting.cache.FitCache`, so experiment grids that
-  revisit the same ``(family, curve, config)`` triple skip the solve
-  entirely.
+* ``engine="scipy"`` solves every start with scipy's
+  trust-region-reflective least squares, in order. This is the
+  golden-table oracle.
+* ``engine="batched"`` stacks every start of every cell into one call
+  of the :mod:`repro.fitting.batched` Levenberg–Marquardt kernel, which
+  advances them in lockstep. The kernel only ranks starts: the winning
+  start is then re-solved by scipy from its original x0, so the final
+  optimum is the exact scipy trajectory and rendered tables are
+  byte-identical under both engines. A cell with a single start has
+  nothing to rank and goes straight to that scipy solve.
 
-A third layer is opt-in: ``engine="batched"`` routes the multi-start
-exploration through :mod:`repro.fitting.batched`, a pure-numpy batched
-Levenberg–Marquardt kernel that advances every start in lockstep and
-amortizes the per-call dispatch overhead across the whole batch. The
-batched kernel *screens* the starts; the winning start is then
-re-solved by scipy from its original x0 (one solve instead of one per
-start), so the final optimum is the exact scipy trajectory and the
-rendered tables are byte-identical under both engines (the scipy path
-stays the oracle).
+Families that expose
+:meth:`~repro.models.base.ResilienceModel.prediction_jacobian` in
+closed form (the quadratic, the Hjorth competing-risks model, and all
+Exp/Weibull mixtures under every trend) hand both engines an exact
+Jacobian instead of finite differences, cutting residual evaluations by
+roughly the parameter count.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ from scipy import optimize
 
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.batched import BatchedProblem, resolve_engine, solve_batched
-from repro.fitting.cache import (
-    FitCache,
-    fit_cache_key,
-    resolve_cache,
-    sequence_of_vectors,
+from repro.fitting.batched import (
+    _PENALTY_SCALE,
+    BatchedProblem,
+    resolve_engine,
+    solve_batched,
 )
+from repro.fitting.cache import FitCache, fit_cache_key, resolve_cache
 from repro.fitting.multistart import generate_starts
 from repro.fitting.options import (
     DEFAULT_ENGINE_OPTIONS as DEFAULT_OPTIONS,
@@ -64,15 +64,6 @@ __all__ = ["fit_least_squares", "fit_many", "FitManyResult"]
 
 logger = logging.getLogger("repro.fitting")
 
-#: Magnitude of the penalty applied to non-finite residuals. The
-#: penalty is ``scale·(1 + ‖θ‖)`` rather than a constant: a constant
-#: plateau has zero gradient everywhere, so once a trust-region step
-#: lands in a non-finite pocket the optimizer sees a flat landscape and
-#: stalls there. The ‖θ‖ term restores a slope pointing back toward the
-#: origin (feasible vectors in every family are bounded well below the
-#: scales that overflow), letting the solver walk out of the pocket.
-_PENALTY_SCALE = 1e6
-
 #: Relative SSE band for multi-start winner selection. Several starts
 #: routinely converge into the *same* basin, where their objectives
 #: agree to last-ulp noise (~1e-14 relative in practice); a strict
@@ -86,7 +77,16 @@ _REDUCE_RTOL = 1e-8
 
 
 def _penalty_value(vector: np.ndarray) -> float:
-    """Smoothly increasing replacement for non-finite residuals."""
+    """Smoothly increasing replacement for non-finite residuals.
+
+    The penalty is ``scale·(1 + ‖θ‖)`` rather than a constant: a
+    constant plateau has zero gradient everywhere, so once a
+    trust-region step lands in a non-finite pocket the optimizer sees a
+    flat landscape and stalls there. The ‖θ‖ term restores a slope
+    pointing back toward the origin (feasible vectors in every family
+    are bounded well below the scales that overflow), letting the
+    solver walk out of the pocket.
+    """
     return _PENALTY_SCALE * (1.0 + float(np.linalg.norm(vector)))
 
 
@@ -102,7 +102,10 @@ class _StartOutcome(NamedTuple):
     """Per-start optimizer outcome; ``vector`` is None when the start
     raised or produced a non-finite objective. ``seconds`` is the
     start's wall time, measured inside the solve so the caller can
-    trace it."""
+    trace it. The fields match
+    :class:`~repro.fitting.batched.BatchedOutcome`, so both engines'
+    outcomes reduce and cache alike; a scipy solve runs no LM
+    iterations of the kernel."""
 
     sse: float
     vector: tuple[float, ...] | None
@@ -111,6 +114,7 @@ class _StartOutcome(NamedTuple):
     nfev: int
     njev: int
     seconds: float
+    n_iterations: int = 0
 
 
 def _solve_start(
@@ -203,14 +207,7 @@ def _solve_start(
 
 
 class _WinnerSelection(NamedTuple):
-    """Outcome of the reduce → confirm → polish pipeline.
-
-    Shared by the single-fit path below and the fleet engine in
-    :mod:`repro.fitting.fleet`, so both reduce multi-start outcomes with
-    *exactly* the same rules (band-based winner selection, scipy
-    confirmation of batched winners, analytic polish) — the property
-    that makes fleet results bit-identical to per-episode fits.
-    """
+    """Outcome of the reduce → confirm → polish pipeline for one cell."""
 
     sse: float
     vector: tuple[float, ...]
@@ -392,6 +389,190 @@ def _select_and_confirm(
     )
 
 
+class _Cell(NamedTuple):
+    """One ``(family, curve)`` multi-start problem for :func:`_solve_cells`.
+
+    ``screen`` optionally replaces the cell's own ``(times, targets,
+    sqrt_weights)`` for the batched screen only: the fleet pads ragged
+    episodes with zero-weight rows so they share a kernel group. Zero
+    weights add exactly nothing to the screened objective, so reduction
+    and confirmation run on ``curve`` and ``sqrt_weights`` as given.
+    """
+
+    family: ResilienceModel
+    curve: ResilienceCurve
+    start_vectors: list[tuple[float, ...]]
+    sqrt_weights: tuple[float, ...] | None
+    jac_mode: str
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    max_nfev: int
+    screen: (
+        tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...] | None] | None
+    ) = None
+
+
+class _CellSolve(NamedTuple):
+    """One cell's result: per-start outcomes in start order, and the
+    selection — or, when every start failed, the error instead."""
+
+    outcomes: Sequence[Any]
+    selection: _WinnerSelection | None
+    error: ConvergenceError | None
+    cache_hit: bool
+
+    def totals(self) -> tuple[int, int]:
+        """``(nfev, njev)`` over screen, confirm and polish."""
+        chosen = self.selection
+        assert chosen is not None
+        return (
+            sum(o.nfev for o in self.outcomes) + chosen.confirm_nfev + chosen.polish_nfev,
+            sum(o.njev for o in self.outcomes) + chosen.confirm_njev + chosen.polish_njev,
+        )
+
+
+def _cell_cache_key(cell: _Cell, engine_mode: str, confirm: bool) -> str:
+    """Content address of one cell's solve.
+
+    The key covers every input of the solve, the start vectors
+    themselves included. It also covers the screen's length: a padded
+    screen ranks the same starts as an unpadded one but its per-start
+    diagnostics differ, so the two never serve each other.
+    """
+    return fit_cache_key(
+        cell.family,
+        cell.curve,
+        {
+            # Engine-versioned so the two solvers never cross-serve
+            # entries (their per-start diagnostics differ even though
+            # the polished optimum does not).
+            "engine": "batched_lm.v2" if engine_mode == "batched" else "least_squares.v3",
+            "confirm": confirm,
+            "starts": [list(start) for start in cell.start_vectors],
+            "sqrt_weights": cell.sqrt_weights,
+            "jac": cell.jac_mode,
+            "max_nfev": cell.max_nfev,
+            "screen_length": len(cell.screen[0]) if cell.screen else len(cell.curve),
+        },
+    )
+
+
+def _solve_from_record(record: dict[str, Any]) -> _CellSolve:
+    """A cached cell solve (JSON stores vectors as lists)."""
+    outcomes = [
+        _StartOutcome(**{**o, "vector": None if o["vector"] is None else tuple(o["vector"])})
+        for o in record["outcomes"]
+    ]
+    fields = record["selection"]
+    selection = _WinnerSelection(**{**fields, "vector": tuple(fields["vector"])})
+    return _CellSolve(outcomes, selection, None, True)
+
+
+def _solve_cells(
+    cells: Sequence[_Cell],
+    *,
+    engine_mode: str,
+    cache: FitCache | None,
+    tracer: Any,
+    confirm: bool = True,
+) -> list[_CellSolve]:
+    """Solve every cell: cache lookup, one screen, per-cell reduction.
+
+    Cells found in *cache* are returned as stored. The rest are
+    screened together — one :func:`~repro.fitting.batched.solve_batched`
+    call over every start of every cell under ``engine_mode ==
+    "batched"``, the in-order scipy loop otherwise — and each cell is
+    then reduced through :func:`_select_and_confirm`. A batched screen
+    only ranks starts, so a one-start cell skips it and is solved by
+    scipy alone. ``confirm=False`` reports the screened optima without
+    the scipy confirmation. Results come back in cell order.
+    """
+    solves: list[_CellSolve | None] = [None] * len(cells)
+    keys: list[str | None] = [None] * len(cells)
+    for index, cell in enumerate(cells):
+        if cache is None:
+            break
+        keys[index] = key = _cell_cache_key(cell, engine_mode, confirm)
+        record = cache.get(key)
+        if tracer.enabled:
+            tracer.metrics.inc("cache.hits" if record is not None else "cache.misses")
+        if record is not None:
+            solves[index] = _solve_from_record(record)
+    pending = [index for index, solve in enumerate(solves) if solve is None]
+    screened = [
+        index
+        for index in pending
+        if engine_mode == "batched" and len(cells[index].start_vectors) > 1
+    ]
+    confirmed = set(screened) if confirm else set()
+
+    outcomes: dict[int, Sequence[Any]] = {}
+    if screened:
+        problems: list[BatchedProblem] = []
+        for index in screened:
+            cell = cells[index]
+            times, targets, sqrt_weights = cell.screen or (
+                tuple(float(v) for v in cell.curve.times),
+                tuple(float(v) for v in cell.curve.performance),
+                cell.sqrt_weights,
+            )
+            problems.extend(
+                BatchedProblem(
+                    cell.family, times, targets, start, cell.lower, cell.upper,
+                    cell.max_nfev, sqrt_weights, cell.jac_mode,
+                )
+                for start in cell.start_vectors
+            )
+        flat = iter(solve_batched(problems))
+        for index in screened:
+            outcomes[index] = [next(flat) for _ in cells[index].start_vectors]
+
+    for index in pending:
+        cell = cells[index]
+        cell_outcomes = outcomes.get(index) or [
+            _solve_start(
+                cell.family, cell.curve, start, cell.lower, cell.upper,
+                cell.max_nfev, cell.sqrt_weights, cell.jac_mode,
+            )
+            for start in cell.start_vectors
+        ]
+        if tracer.enabled:
+            for start_index, outcome in enumerate(cell_outcomes):
+                tracer.record(
+                    "fit.start",
+                    outcome.seconds,
+                    index=start_index,
+                    sse=outcome.sse,
+                    nfev=outcome.nfev,
+                    njev=outcome.njev,
+                    converged=outcome.converged,
+                    failed=outcome.vector is None,
+                )
+                tracer.metrics.observe("fit.start_seconds", outcome.seconds)
+        try:
+            selection = _select_and_confirm(
+                cell.family, cell.curve, cell.start_vectors, cell_outcomes,
+                lower=cell.lower, upper=cell.upper, max_nfev=cell.max_nfev,
+                sqrt_weights=cell.sqrt_weights, jac_mode=cell.jac_mode,
+                engine_mode="batched" if index in confirmed else "scipy",
+                tracer=tracer,
+            )
+        except ConvergenceError as exc:
+            solves[index] = _CellSolve(cell_outcomes, None, exc, False)
+            continue
+        solves[index] = _CellSolve(cell_outcomes, selection, None, False)
+        key = keys[index]
+        if cache is not None and key is not None:
+            cache.put(
+                key,
+                {
+                    "outcomes": [o._asdict() for o in cell_outcomes],
+                    "selection": selection._asdict(),
+                },
+            )
+    return [solve for solve in solves if solve is not None]
+
+
 def _resolve_jac_mode(family: ResilienceModel, jac: str) -> str:
     """Map the user-facing ``jac=`` choice (already validated by
     :class:`~repro.fitting.options.EngineOptions`) onto a concrete mode."""
@@ -479,7 +660,8 @@ def fit_least_squares(
         :mod:`repro.fitting.batched` vectorized Levenberg–Marquardt
         kernel, which screens all starts in one stacked solve and then
         re-solves the winning start with scipy from its original x0,
-        so rendered artifacts are byte-identical under both engines).
+        so rendered artifacts are byte-identical under both engines; a
+        single start has nothing to screen and is solved by scipy).
         ``None`` defers to
         ``options.engine`` and then the ``REPRO_FIT_ENGINE``
         environment variable (default ``"scipy"``).
@@ -508,16 +690,12 @@ def fit_least_squares(
         jac=jac,
         engine=engine,
     )
-    solve_kwargs: dict[str, Any] = dict(
-        n_random_starts=opts.n_random_starts, seed=opts.seed,
-        max_nfev=opts.max_nfev, starts=starts, extra_starts=extra_starts,
-        weights=weights, jac=opts.jac, engine=opts.engine, cache=opts.cache,
-    )
+    request = (family, curve, opts, starts, extra_starts, weights)
     tracer = resolve_tracer(opts.trace)
     if not tracer.enabled:
         # No-op fast path: skip span construction entirely so the
         # disabled overhead stays within noise on the table workloads.
-        return _fit_least_squares(family, curve, tracer=NULL_TRACER, **solve_kwargs)
+        return _fit_least_squares(*request, NULL_TRACER)
     start_time = time.perf_counter()
     with tracer.span(
         "fit",
@@ -525,7 +703,7 @@ def fit_least_squares(
         curve=curve.name or "<curve>",
         n_points=len(curve),
     ) as span:
-        result = _fit_least_squares(family, curve, tracer=tracer, **solve_kwargs)
+        result = _fit_least_squares(*request, tracer)
         details = result.details
         span.set(
             sse=result.sse,
@@ -548,20 +726,83 @@ def fit_least_squares(
 def _fit_least_squares(
     family: ResilienceModel,
     curve: ResilienceCurve,
-    *,
-    n_random_starts: int,
-    seed: int | None,
-    max_nfev: int,
+    opts: EngineOptions,
     starts: Sequence[Sequence[float]] | None,
     extra_starts: Sequence[Sequence[float]] | None,
     weights: Sequence[float] | None,
-    jac: str,
-    engine: str | None,
-    cache: bool | FitCache | None,
     tracer: Any,
 ) -> FitResult:
     """The untraced fit body; *tracer* is already resolved (possibly
     the null tracer) and only consulted behind ``enabled`` guards."""
+    cell = _plan_cell(
+        family, curve, n_random_starts=opts.n_random_starts, seed=opts.seed,
+        max_nfev=opts.max_nfev, jac=opts.jac, starts=starts,
+        extra_starts=extra_starts, weights=weights,
+    )
+    engine_mode = resolve_engine(opts.engine)
+    [solve] = _solve_cells(
+        [cell], engine_mode=engine_mode, cache=resolve_cache(opts.cache), tracer=tracer
+    )
+    if solve.selection is None:
+        assert solve.error is not None
+        raise solve.error
+    selection = solve.selection
+    outcomes = solve.outcomes
+    nfev, njev = solve.totals()
+
+    best_sse = selection.sse
+    if cell.sqrt_weights is not None:
+        # Selection used the weighted objective; report the unweighted
+        # Eq. (9) SSE so results stay comparable across weightings.
+        best_sse = family.sse(curve, selection.vector)
+
+    details: dict[str, Any] = {
+        "per_start_sse": [outcome.sse for outcome in outcomes],
+        "per_start_nfev": [outcome.nfev for outcome in outcomes],
+        "per_start_njev": [outcome.njev for outcome in outcomes],
+        "per_start_seconds": [outcome.seconds for outcome in outcomes],
+        "nfev": nfev,
+        "njev": njev,
+        "confirm_nfev": selection.confirm_nfev,
+        "confirm_njev": selection.confirm_njev,
+        "polish_nfev": selection.polish_nfev,
+        "polish_njev": selection.polish_njev,
+        "winner_start": selection.winner_index,
+        "jac_mode": cell.jac_mode,
+    }
+    if engine_mode == "batched":
+        details["per_start_iterations"] = [
+            int(outcome.n_iterations) for outcome in outcomes
+        ]
+    details["cache_hit"] = solve.cache_hit
+    return FitResult(
+        model=family.bind(selection.vector),
+        curve=curve,
+        sse=best_sse,
+        converged=selection.converged,
+        n_starts=len(cell.start_vectors),
+        n_failures=selection.failures,
+        message=selection.message,
+        details=details,
+        engine=engine_mode,
+    )
+
+
+def _plan_cell(
+    family: ResilienceModel,
+    curve: ResilienceCurve,
+    *,
+    n_random_starts: int,
+    seed: int | None,
+    max_nfev: int,
+    jac: str,
+    starts: Sequence[Sequence[float]] | None = None,
+    extra_starts: Sequence[Sequence[float]] | None = None,
+    weights: Sequence[float] | None = None,
+) -> _Cell:
+    """Validate one fit request and turn it into a cell for
+    :func:`_solve_cells`, generating the starts unless they are given.
+    Raises :class:`FitError` on a request that cannot be fitted."""
     if len(curve) <= family.n_params:
         raise FitError(
             f"cannot fit {family.n_params}-parameter model {family.name!r} "
@@ -571,13 +812,10 @@ def _fit_least_squares(
         raise FitError("curve contains non-finite performance values")
 
     jac_mode = _resolve_jac_mode(family, jac)
-    engine_mode = resolve_engine(engine)
-
     lower = tuple(float(v) for v in family.lower_bounds)
     upper = tuple(float(v) for v in family.upper_bounds)
 
     sqrt_weights: tuple[float, ...] | None = None
-    weight_list: list[float] | None = None
     if weights is not None:
         weight_array = np.asarray(weights, dtype=np.float64)
         if weight_array.shape != (len(curve),):
@@ -590,54 +828,6 @@ def _fit_least_squares(
         if not np.any(weight_array > 0.0):
             raise FitError("at least one weight must be positive")
         sqrt_weights = tuple(float(v) for v in np.sqrt(weight_array))
-        weight_list = [float(v) for v in weight_array]
-
-    # ------------------------------------------------------------------
-    # Cache lookup. The key covers every input that determines the
-    # optimum; start generation is deterministic, so keying on its
-    # inputs (counts + seed) is equivalent to keying on the vectors.
-    # ------------------------------------------------------------------
-    fit_cache = resolve_cache(cache)
-    cache_key: str | None = None
-    if fit_cache is not None:
-        cache_key = fit_cache_key(
-            family,
-            curve,
-            {
-                # Engine-versioned so the two solvers never cross-serve
-                # cache entries (their per-start diagnostics differ even
-                # though the polished optimum does not).
-                "engine": (
-                    "batched_lm.v1" if engine_mode == "batched" else "least_squares.v2"
-                ),
-                "n_random_starts": int(n_random_starts),
-                "seed": None if seed is None else int(seed),
-                "max_nfev": int(max_nfev),
-                "starts": sequence_of_vectors(starts),
-                "extra_starts": sequence_of_vectors(extra_starts),
-                "weights": weight_list,
-                "jac": jac_mode,
-            },
-        )
-        record = fit_cache.get(cache_key)
-        if tracer.enabled:
-            tracer.metrics.inc(
-                "cache.hits" if record is not None else "cache.misses"
-            )
-        if record is not None:
-            details = dict(record.get("details", {}))
-            details["cache_hit"] = True
-            return FitResult(
-                model=family.bind(tuple(float(v) for v in record["params"])),
-                curve=curve,
-                sse=float(record["sse"]),
-                converged=bool(record["converged"]),
-                n_starts=int(record["n_starts"]),
-                n_failures=int(record["n_failures"]),
-                message=str(record["message"]),
-                details=details,
-                engine=str(record.get("engine", engine_mode)),
-            )
 
     if starts is None:
         kwargs = {} if seed is None else {"seed": seed}
@@ -666,117 +856,8 @@ def _fit_least_squares(
         start_vectors = injected + [
             s for s in start_vectors if s not in injected
         ]
-
-    outcomes: Sequence[Any]
-    if engine_mode == "batched":
-        # All starts advance in lockstep through one stacked LM solve;
-        # counters stay per-problem (each batched residual evaluation
-        # charges one nfev to every start it served), so the reduce and
-        # the traces below see the same shape as the scipy path.
-        curve_times = tuple(float(v) for v in curve.times)
-        curve_targets = tuple(float(v) for v in curve.performance)
-        problems = [
-            BatchedProblem(
-                family, curve_times, curve_targets, start, lower, upper,
-                max_nfev, sqrt_weights, jac_mode,
-            )
-            for start in start_vectors
-        ]
-        outcomes = solve_batched(problems)
-    else:
-        outcomes = [
-            _solve_start(
-                family, curve, start, lower, upper, max_nfev, sqrt_weights, jac_mode
-            )
-            for start in start_vectors
-        ]
-
-    if tracer.enabled:
-        for index, outcome in enumerate(outcomes):
-            tracer.record(
-                "fit.start",
-                outcome.seconds,
-                index=index,
-                sse=outcome.sse,
-                nfev=outcome.nfev,
-                njev=outcome.njev,
-                converged=outcome.converged,
-                failed=outcome.vector is None,
-            )
-            tracer.metrics.observe("fit.start_seconds", outcome.seconds)
-
-    per_start_sse: list[float] = [outcome.sse for outcome in outcomes]
-    per_start_nfev: list[int] = [outcome.nfev for outcome in outcomes]
-    per_start_njev: list[int] = [outcome.njev for outcome in outcomes]
-    per_start_seconds: list[float] = [outcome.seconds for outcome in outcomes]
-
-    selection = _select_and_confirm(
-        family, curve, start_vectors, outcomes,
-        lower=lower, upper=upper, max_nfev=max_nfev,
-        sqrt_weights=sqrt_weights, jac_mode=jac_mode,
-        engine_mode=engine_mode, tracer=tracer,
-    )
-    failures = selection.failures
-    winner_index = selection.winner_index
-    best_sse = selection.sse
-    best_vector = selection.vector
-    best_message = selection.message
-    best_converged = selection.converged
-    confirm_nfev = selection.confirm_nfev
-    confirm_njev = selection.confirm_njev
-    polish_nfev = selection.polish_nfev
-    polish_njev = selection.polish_njev
-
-    if sqrt_weights is not None:
-        # Selection used the weighted objective; report the unweighted
-        # Eq. (9) SSE so results stay comparable across weightings.
-        best_sse = family.sse(curve, best_vector)
-
-    details: dict[str, Any] = {
-        "per_start_sse": per_start_sse,
-        "per_start_nfev": per_start_nfev,
-        "per_start_njev": per_start_njev,
-        "per_start_seconds": per_start_seconds,
-        "nfev": int(sum(per_start_nfev)) + confirm_nfev + polish_nfev,
-        "njev": int(sum(per_start_njev)) + confirm_njev + polish_njev,
-        "confirm_nfev": confirm_nfev,
-        "confirm_njev": confirm_njev,
-        "polish_nfev": polish_nfev,
-        "polish_njev": polish_njev,
-        "winner_start": int(winner_index),
-        "jac_mode": jac_mode,
-    }
-    if engine_mode == "batched":
-        details["per_start_iterations"] = [
-            int(outcome.n_iterations) for outcome in outcomes
-        ]
-
-    if fit_cache is not None and cache_key is not None:
-        fit_cache.put(
-            cache_key,
-            {
-                "params": [float(v) for v in best_vector],
-                "sse": float(best_sse),
-                "converged": bool(best_converged),
-                "n_starts": len(start_vectors),
-                "n_failures": failures,
-                "message": best_message,
-                "details": dict(details),
-                "engine": engine_mode,
-            },
-        )
-
-    details["cache_hit"] = False
-    return FitResult(
-        model=family.bind(best_vector),
-        curve=curve,
-        sse=best_sse,
-        converged=best_converged,
-        n_starts=len(start_vectors),
-        n_failures=failures,
-        message=best_message,
-        details=details,
-        engine=engine_mode,
+    return _Cell(
+        family, curve, start_vectors, sqrt_weights, jac_mode, lower, upper, max_nfev
     )
 
 

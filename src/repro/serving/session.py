@@ -219,7 +219,7 @@ class ForecastSession:
         solver_kwargs = {
             name: value
             for name, value in self.options.to_kwargs().items()
-            if name in ("jac", "seed", "n_random_starts", "max_nfev")
+            if name in ("jac", "engine", "seed", "n_random_starts", "max_nfev")
         }
         planned: list[PlannedRefit] = []
         for key, forecaster in list(self._forecasters.items()):

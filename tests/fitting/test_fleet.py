@@ -9,8 +9,9 @@ zero-weight length padding, and chunking must never change a result.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.datasets.outage import generate_fleet
+from repro.datasets.outage import episode_curve, generate_fleet
 from repro.fitting.cache import FitCache, default_fit_cache
 from repro.fitting.fleet import (
     DEFAULT_FLEET_FAMILIES,
@@ -19,7 +20,7 @@ from repro.fitting.fleet import (
 )
 from repro.fitting.least_squares import fit_least_squares
 from repro.fitting.options import EngineOptions
-from repro.exceptions import FitError
+from repro.exceptions import ConvergenceError, FitError
 from repro.models.registry import make_model
 
 FAMILIES = ("quadratic", "competing_risks")
@@ -128,6 +129,69 @@ class TestBitIdentity:
         assert screened.nfev["quadratic"].sum() < confirmed.nfev["quadratic"].sum()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestParityProperty:
+    """Any small ragged fleet equals a loop of single fits, cell by cell.
+
+    The fleet and the single fit share one solve core, so this is the
+    oracle for the fleet's own work: chunking, padding, cell
+    bookkeeping and failure accounting. One family has a closed-form
+    Jacobian, the other (a Gompertz mixture) is differenced in 2-point
+    mode; the mixture's overflow warnings at extreme trial points are
+    the penalty's mechanism, not a defect.
+    """
+
+    FAMILIES = (make_model("quadratic"), make_model("exp-gompertz"))
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        episodes=st.lists(
+            st.tuples(st.sampled_from("KLUVW"), st.integers(12, 48)),
+            min_size=2,
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**16),
+        length_bucket=st.sampled_from((1, 8)),
+        chunk_size=st.integers(1, 5),
+        n_random_starts=st.integers(0, 2),
+    )
+    def test_fleet_equals_fit_loop(
+        self, episodes, seed, length_bucket, chunk_size, n_random_starts
+    ):
+        curves = [
+            episode_curve(scenario, index, seed=seed, n_points=n_points)
+            for index, (scenario, n_points) in enumerate(episodes)
+        ]
+        options = EngineOptions(cache=False, n_random_starts=n_random_starts)
+        for engine in ("scipy", "batched"):
+            result = fit_fleet(
+                curves,
+                self.FAMILIES,
+                options=options,
+                engine=engine,
+                chunk_size=chunk_size,
+                length_bucket=length_bucket,
+            )
+            for index, curve in enumerate(curves):
+                for family in self.FAMILIES:
+                    cell = result.fit(index, family.name)
+                    try:
+                        fit = fit_least_squares(
+                            family, curve, options=options, engine=engine
+                        )
+                    except ConvergenceError:
+                        assert cell.failed and not cell.converged
+                        assert cell.n_failures == cell.n_starts
+                        continue
+                    assert cell.params == fit.model.params, (engine, index)
+                    assert cell.sse == fit.sse, (engine, index)
+                    assert cell.converged == fit.converged
+                    assert not cell.failed
+                    assert cell.n_starts == fit.n_starts
+                    assert cell.n_failures == fit.n_failures
+                    assert cell.winner_start == fit.details["winner_start"]
+
+
 class TestResultSurface:
     @pytest.fixture(scope="class")
     def result(self, ragged_store):
@@ -199,6 +263,25 @@ class TestOptions:
             n_random_starts=N_STARTS, options=EngineOptions(cache=cache),
         )
         assert cache.stats()["hits"] >= stats["hits"] + 18
+
+    def test_batched_cache_keys_on_screen_shape(self, ragged_store):
+        """The batched fleet stores its cells too, but a cell screened on
+        zero-weight padding never serves an unpadded single fit."""
+        cache = FitCache()
+        options = EngineOptions(cache=cache, engine="batched")
+        fit_fleet(
+            ragged_store, ("quadratic",), n_random_starts=N_STARTS,
+            length_bucket=8, options=options,
+        )
+        assert len(cache) == 18
+        family = make_model("quadratic")
+        hits = {
+            (len(curve), fit_least_squares(
+                family, curve, n_random_starts=N_STARTS, options=options
+            ).details["cache_hit"])
+            for curve in ragged_store
+        }
+        assert hits == {(40, True), (44, False), (48, True)}
 
     @pytest.mark.parametrize(
         "kwargs, match",

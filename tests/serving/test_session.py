@@ -108,6 +108,46 @@ class TestBatchRefit:
             assert fit.model.params == reference.model.params
             assert fit.sse == reference.sse
 
+    def test_ticker_refit_runs_the_session_engine(self, monkeypatch):
+        """A warm ticker refit on a batched session reports the batched
+        engine, and its single start skips the kernel screen: the solve
+        is the scipy refit, bit for bit."""
+        import repro.fitting.least_squares as least_squares
+        from repro.fitting import fit_least_squares
+
+        session = make_session(
+            options=OPTIONS.replace(engine="batched"),
+            policy=RefitPolicy(every_k=1),
+        )
+        for t, p in V_POINTS:
+            session.observe("a", t, p)
+        session.refit_stale()  # the cold first fit
+        session.observe("a", 7.0, 0.95)
+        [planned] = session.refit_plans()
+        assert planned.plan.kind == "warm"
+        assert len(planned.work.fit_kwargs["starts"]) == 1
+
+        screens = []
+        solve_batched = least_squares.solve_batched
+        monkeypatch.setattr(
+            least_squares,
+            "solve_batched",
+            lambda problems: screens.append(problems) or solve_batched(problems),
+        )
+        [fit] = session.execute_refits([planned])
+        assert screens == []
+        assert fit.engine == "batched"
+
+        reference = fit_least_squares(
+            planned.work.family,
+            planned.work.curve,
+            options=OPTIONS.replace(engine="scipy"),
+            **planned.work.fit_kwargs,
+        )
+        assert fit.model.params == reference.model.params
+        assert fit.sse == reference.sse
+        assert fit.details["nfev"] == reference.details["nfev"]
+
     def test_batch_refit_on_thread_executor(self):
         session = make_session(
             options=OPTIONS.replace(executor="thread", n_workers=2)

@@ -149,6 +149,18 @@ class TestOptionsFile:
         help_text = capsys.readouterr().out
         assert "--engine" in help_text and "--executor" not in help_text
 
+    def test_fleet_fit_takes_no_executor_flags(self, capsys):
+        # A fleet solves every chunk in the calling thread, like a
+        # single fit, so `fit-fleet` does not offer the knob either.
+        for flag in (["--executor", "thread"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["fit-fleet", "store", *flag])
+            assert excinfo.value.code == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fit-fleet", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--engine" in help_text and "--executor" not in help_text
+
     def test_unknown_key_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "engine.json"
         path.write_text('{"n_random_start": 3}')
