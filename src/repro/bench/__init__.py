@@ -1,15 +1,16 @@
 """Orchestrated benchmark matrix with a manifest-driven perf gate.
 
 The repo's speed claims (batched-engine speedup, warm-refit latency,
-kernel throughput, fleet episodes/sec) used to live in one-off
-``BENCH_*.json`` snapshots produced by hand-run scripts. This package
-turns them into a *gateable* surface:
+kernel throughput, fleet episodes/sec) are measured by registered
+workloads, so every number is a *gateable* run:
 
 :mod:`repro.bench.registry`
-    Suite registry: every ``benchmarks/bench_*.py`` script is wrapped
-    as a registered :class:`~repro.bench.registry.Workload`, and a
-    set of fast native ``smoke.*`` workloads re-measure the headline
-    metrics at CI scale with deterministic counters.
+    Suite registry of :class:`~repro.bench.registry.Workload` objects:
+    fast ``smoke.*`` workloads re-measure the headline metrics at CI
+    size with deterministic counters, their ``full.*`` twins measure
+    them at snapshot size and write the committed ``BENCH_*.json``
+    files, and ``scripts.*`` adapters wrap the paper-artifact
+    ``benchmarks/bench_*.py`` scripts.
 :mod:`repro.bench.runner`
     ``repro bench run`` — executes a suite × workload × engine/executor
     matrix and writes a per-run manifest directory (``config.json``,
@@ -21,7 +22,7 @@ turns them into a *gateable* surface:
     exits nonzero on regression.
 :mod:`repro.bench.artifact`
     Schema validation + canonical writer for every ``BENCH_*.json``
-    artifact the benchmark scripts emit.
+    artifact the ``full.*`` workloads emit.
 
 See ``docs/benchmarks.md`` for the matrix layout, the manifest schema,
 and the baseline update workflow.
@@ -30,7 +31,6 @@ and the baseline update workflow.
 from __future__ import annotations
 
 from repro.bench.artifact import (
-    artifact_metrics,
     check_bench_payload,
     validate_artifact_file,
     validate_bench_payload,
@@ -66,7 +66,6 @@ __all__ = [
     "RunResult",
     "Workload",
     "WorkloadRecord",
-    "artifact_metrics",
     "check_bench_payload",
     "compare_run",
     "get_workload",

@@ -1,6 +1,6 @@
 """Schema validation + canonical writer for ``BENCH_*.json`` artifacts.
 
-Every benchmark artifact the scripts under ``benchmarks/`` emit must
+Every benchmark artifact the ``full.*`` workloads emit must
 
 * carry a complete ``"provenance"`` block (see
   :data:`~repro.bench.provenance.REQUIRED_PROVENANCE_KEYS`),
@@ -13,9 +13,7 @@ Every benchmark artifact the scripts under ``benchmarks/`` emit must
 :func:`write_bench_artifact` is the single funnel the emitters write
 through, so an artifact that would fail validation never reaches disk;
 :func:`validate_artifact_file` re-checks committed artifacts in tier-1
-so an emitter cannot silently drift. :func:`artifact_metrics` extracts
-each artifact's headline metrics in the counted/wall shape the
-baseline comparison (:mod:`repro.bench.compare`) consumes.
+so an emitter cannot silently drift.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.exceptions import BenchError
 
 __all__ = [
     "ARTIFACT_REQUIRED_KEYS",
-    "artifact_metrics",
     "check_bench_payload",
     "validate_artifact_file",
     "validate_bench_payload",
@@ -161,83 +158,3 @@ def validate_artifact_file(path: str | PathLike[str]) -> dict[str, Any]:
         raise BenchError(f"cannot read benchmark artifact {source}: {exc}") from exc
     check_bench_payload(payload, name=source.name)
     return dict(payload)
-
-
-def _lookup(payload: Mapping[str, Any], dotted: str) -> Any:
-    value: Any = payload
-    for part in dotted.split("."):
-        if not isinstance(value, Mapping) or part not in value:
-            raise BenchError(f"artifact is missing metric path {dotted!r}")
-        value = value[part]
-    return value
-
-
-#: Headline metrics per artifact: dotted payload path → (metric name,
-#: kind). Counted metrics are deterministic for fixed seeds and gated
-#: exactly; wall metrics are machine-dependent and gated by ratio.
-_ARTIFACT_METRIC_PATHS: dict[str, tuple[tuple[str, str, str], ...]] = {
-    "BENCH_fit_engine.json": (
-        ("engines.scipy.nfev", "scipy_nfev", "counted"),
-        ("engines.scipy.njev", "scipy_njev", "counted"),
-        ("engines.batched.nfev", "batched_nfev", "counted"),
-        ("engines.batched.njev", "batched_njev", "counted"),
-        ("engines.speedup_batched_vs_scipy", "engine_speedup", "wall"),
-        ("kernels.area_under_curve.speedup", "auc_kernel_speedup", "wall"),
-    ),
-    "BENCH_jacobian.json": (
-        ("jacobian.2-point.nfev", "numeric_nfev", "counted"),
-        ("jacobian.analytic.nfev", "analytic_nfev", "counted"),
-        ("jacobian.nfev_ratio", "nfev_ratio", "counted"),
-        ("warm_start.warm_nfev", "warm_grid_nfev", "counted"),
-        ("warm_start.cold_nfev", "cold_grid_nfev", "counted"),
-    ),
-    "BENCH_fleet.json": (
-        ("fleet.n_episodes", "n_episodes", "counted"),
-        ("engines.speedup_cross_episode_vs_scipy_loop", "fleet_speedup", "wall"),
-        ("engines.episodes_per_sec.cross_episode_batched", "episodes_per_sec", "wall"),
-        ("streaming.rss_ratio_for_5x_fleet", "rss_ratio", "wall"),
-    ),
-    "BENCH_serving.json": (
-        ("stats.refits_warm", "refits_warm", "counted"),
-        ("warm_refit.p50_ms", "warm_p50_ms", "wall"),
-        ("speedup_p50", "warm_speedup_p50", "wall"),
-    ),
-    "BENCH_trace.json": (
-        ("n_fit_spans", "n_fit_spans", "counted"),
-        ("modeled_disabled_overhead_fraction", "modeled_overhead", "wall"),
-    ),
-    "BENCH_service.json": (
-        ("streams.registered", "streams_registered", "counted"),
-        ("admission.rejected_register", "rejected_register", "counted"),
-        ("protocol_errors", "protocol_errors", "counted"),
-        ("remediation.reselected", "remediation_reselected", "counted"),
-        ("latency_ms.p50", "request_p50_ms", "wall"),
-        ("latency_ms.p99", "request_p99_ms", "wall"),
-        ("workload.requests_per_sec", "requests_per_sec", "wall"),
-    ),
-}
-
-
-def artifact_metrics(
-    name: str, payload: Mapping[str, Any]
-) -> dict[str, dict[str, float]]:
-    """Headline ``{"counted": {...}, "wall": {...}}`` metrics of an artifact.
-
-    ``finalize_bit_identical``-style booleans are folded to 0/1 so every
-    metric is numeric; unknown artifact names yield empty groups.
-    """
-    groups: dict[str, dict[str, float]] = {"counted": {}, "wall": {}}
-    for dotted, metric, kind in _ARTIFACT_METRIC_PATHS.get(name, ()):
-        value = _lookup(payload, dotted)
-        if isinstance(value, bool):
-            value = int(value)
-        if not isinstance(value, (int, float)):
-            raise BenchError(
-                f"artifact metric {dotted!r} is not numeric: {value!r}"
-            )
-        groups[kind][metric] = float(value) if kind == "wall" else value
-    if name == "BENCH_serving.json":
-        groups["counted"]["finalize_bit_identical"] = int(
-            bool(payload.get("finalize_bit_identical"))
-        )
-    return groups

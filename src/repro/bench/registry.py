@@ -1,8 +1,8 @@
 """Workload/suite registry for the benchmark matrix.
 
 A :class:`Workload` is a named, registered measurement: a callable that
-receives a :class:`BenchContext` (resolved engine options, a scale hint,
-and a scratch directory) and returns a flat mapping of metric values.
+receives a :class:`BenchContext` (resolved engine options and a scratch
+directory) and returns a flat mapping of metric values.
 Each metric is declared up front with a :class:`MetricSpec` so the
 runner and the baseline gate know how to treat it:
 
@@ -19,7 +19,7 @@ runner and the baseline gate know how to treat it:
 
 Workloads belong to one or more *suites* (``smoke``, ``full``,
 ``scripts``); ``repro bench run --suite`` selects by suite and the CI
-gate runs the cheap native ``smoke`` tier. Script-adapter workloads
+gate runs the cheap ``smoke`` tier. Script-adapter workloads
 additionally record the ``benchmarks/bench_*.py`` file they wrap so a
 registry test can prove every benchmark script is covered.
 """
@@ -88,14 +88,11 @@ class BenchContext:
     """Everything a workload runner receives.
 
     ``options`` carries the engine/executor/seed axes of the matrix
-    cell being measured; ``scale`` is a size hint ("smoke" keeps CI
-    cells under a few seconds, "full" matches the standalone scripts);
-    ``workdir`` is a per-run scratch directory workloads may write
-    stores or artifacts into.
+    cell being measured; ``workdir`` is a per-run scratch directory
+    workloads may write stores or traces into.
     """
 
     options: EngineOptions
-    scale: str = "smoke"
     workdir: Path = field(default_factory=Path)
 
 

@@ -150,7 +150,6 @@ def run_matrix(
     suite: str | None = None,
     options: EngineOptions | None = None,
     out_dir: str | Path,
-    scale: str = "smoke",
     clock: Callable[[], float] = time.perf_counter,
     timestamp: str = "",
 ) -> RunResult:
@@ -166,8 +165,6 @@ def run_matrix(
         ``EngineOptions()`` (environment defaults apply downstream).
     out_dir:
         Manifest directory; created (parents included) if missing.
-    scale:
-        Size hint handed to every workload's :class:`BenchContext`.
     clock:
         Monotonic clock used for per-workload timing — injectable so
         tests can make the manifest fully deterministic.
@@ -195,14 +192,11 @@ def run_matrix(
     target.mkdir(parents=True, exist_ok=True)
     workdir = target / "work"
     workdir.mkdir(exist_ok=True)
-    context = BenchContext(
-        options=resolved_options, scale=scale, workdir=workdir
-    )
+    context = BenchContext(options=resolved_options, workdir=workdir)
 
     config: dict[str, Any] = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "suite": suite,
-        "scale": scale,
         "timestamp": timestamp,
         "options": _options_snapshot(resolved_options),
         "workloads": [w.name for w in selected],

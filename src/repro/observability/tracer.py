@@ -6,7 +6,7 @@ table grid) — into memory and, optionally, a JSON-lines file. Tracing
 is **disabled by default**: every instrumentation point resolves to the
 module-level :data:`NULL_TRACER` whose methods are no-ops, so the hot
 path pays only a guard check (< 2% on the Table III workload — measured
-by ``benchmarks/bench_trace_overhead.py``).
+by the ``full.trace`` workload of ``repro bench``).
 
 Enabling it
 -----------

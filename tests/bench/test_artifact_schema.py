@@ -9,15 +9,12 @@ the canonical writer.
 
 from __future__ import annotations
 
-import json
-import math
 from pathlib import Path
 
 import pytest
 
 from repro.bench.artifact import (
     ARTIFACT_REQUIRED_KEYS,
-    artifact_metrics,
     check_bench_payload,
     validate_artifact_file,
     validate_bench_payload,
@@ -49,17 +46,6 @@ class TestCommittedArtifacts:
         payload = validate_artifact_file(path)
         for key in REQUIRED_PROVENANCE_KEYS:
             assert key in payload["provenance"]
-
-    @pytest.mark.parametrize(
-        "path", COMMITTED, ids=[p.name for p in COMMITTED]
-    )
-    def test_headline_metrics_extractable(self, path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        groups = artifact_metrics(path.name, payload)
-        assert groups["counted"] or groups["wall"]
-        for group in groups.values():
-            for value in group.values():
-                assert math.isfinite(value)
 
 
 class TestValidator:
@@ -120,7 +106,3 @@ class TestWriter:
         payload["bad"] = float("nan")
         with pytest.raises(BenchError, match="non-finite"):
             write_bench_artifact(tmp_path / "BENCH_x.json", payload)
-
-    def test_metrics_missing_path_is_clear(self):
-        with pytest.raises(BenchError, match="metric path"):
-            artifact_metrics("BENCH_fleet.json", _valid_payload())

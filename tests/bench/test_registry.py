@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.artifact import ARTIFACT_REQUIRED_KEYS
 from repro.bench.registry import (
     BenchContext,
     MetricSpec,
@@ -25,13 +26,18 @@ ROOT = Path(__file__).resolve().parents[2]
 
 class TestScriptCoverage:
     def test_every_benchmark_script_is_registered(self):
-        """The suite wraps ALL of benchmarks/bench_*.py — a new script
-        must get a workload (this test is the reminder)."""
+        """The suite wraps ALL 16 paper-artifact benchmarks/bench_*.py
+        scripts — a new script must get a workload (this test is the
+        reminder)."""
         on_disk = sorted(
             p.name for p in (ROOT / "benchmarks").glob("bench_*.py")
         )
+        assert len(on_disk) == 16
         assert on_disk == sorted(BENCH_SCRIPTS)
         assert sorted(registered_scripts()) == on_disk
+        assert sorted(workload_names("scripts")) == sorted(
+            registered_scripts().values()
+        )
 
     def test_script_workloads_belong_to_scripts_suite(self):
         for script, workload_name in registered_scripts().items():
@@ -40,11 +46,33 @@ class TestScriptCoverage:
             assert "scripts" in workload.suites
 
     def test_suites(self):
-        assert set(suite_names()) >= {"smoke", "scripts", "full"}
-        smoke = workload_names("smoke")
-        assert smoke and all(name.startswith("smoke.") for name in smoke)
-        # Every workload is reachable through the full suite.
-        assert sorted(workload_names("full")) == sorted(workload_names())
+        assert suite_names() == ["full", "scripts", "smoke"]
+        assert workload_names("smoke") == [
+            "smoke.fit_engine",
+            "smoke.fleet",
+            "smoke.kernels",
+            "smoke.serving",
+            "smoke.serving_load",
+            "smoke.table3",
+            "smoke.trace",
+        ]
+        assert workload_names("full") == [
+            "full.fit_engine",
+            "full.fleet",
+            "full.jacobian",
+            "full.service",
+            "full.serving",
+            "full.trace",
+        ]
+        assert len(workload_names("scripts")) == 16
+        # Each workload belongs to exactly one suite.
+        assert all(len(w.suites) == 1 for w in iter_workloads())
+
+    def test_every_committed_artifact_has_one_full_writer(self):
+        assert {
+            f"BENCH_{name.split('.', 1)[1]}.json"
+            for name in workload_names("full")
+        } == set(ARTIFACT_REQUIRED_KEYS)
 
 
 class TestRegistry:
@@ -94,8 +122,5 @@ class TestSpecs:
     def test_context_defaults(self, tmp_path):
         from repro.fitting.options import EngineOptions
 
-        context = BenchContext(
-            options=EngineOptions(), scale="smoke", workdir=tmp_path
-        )
-        assert context.scale == "smoke"
+        context = BenchContext(options=EngineOptions(), workdir=tmp_path)
         assert context.workdir == tmp_path

@@ -14,9 +14,9 @@ kinds of guard, by flake risk:
   single-CPU baseline) so even in strict mode they only trip on
   *catastrophic* regressions.
 
-The full measurement story lives in
-``benchmarks/bench_perf_fit_engine.py`` / ``BENCH_fit_engine.json``
-and the ``repro bench`` smoke suite (``docs/benchmarks.md``).
+The full measurement story lives in the ``full.fit_engine`` workload
+of ``repro bench`` / ``BENCH_fit_engine.json`` and its smoke twin
+(``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class TestFleetPerfGuard:
     """Relative guard on cross-episode batching (machine-speed immune).
 
     The full measurement (100k episodes, three engines, RSS proof)
-    lives in ``benchmarks/bench_fleet.py`` / ``BENCH_fleet.json``; this
+    lives in the ``full.fleet`` bench workload / ``BENCH_fleet.json``; this
     tier-1 smoke only asserts that stacking episodes into one kernel
     solve still beats the per-episode scipy loop at all. Measured ~4×
     on this 32-episode slice; the 1.5× bound trips only if the fleet
