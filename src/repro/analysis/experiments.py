@@ -8,23 +8,22 @@ benchmark harness can regenerate each artifact in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.curve import ResilienceCurve
 from repro.datasets.recessions import RECESSION_NAMES, load_all_recessions, load_recession
 from repro.datasets.synthetic import make_shape_curve
 from repro.exceptions import DataError
+from repro.fitting.least_squares import _fit_all, _fit_request
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.metrics.predictive import PredictiveMetricReport, predictive_metric_report
 from repro.models.registry import make_model
 from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import get_executor
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_table
 from repro.validation.crossval import (
     PredictiveEvaluation,
+    _score_fit,
     _warm_start_kwargs,
     evaluate_predictive,
 )
@@ -152,29 +151,6 @@ class FigureResult:
 # ----------------------------------------------------------------------
 # Tables
 # ----------------------------------------------------------------------
-class _SweepCell(NamedTuple):
-    """Picklable work unit: one (dataset, model) grid cell."""
-
-    dataset: str
-    curve: ResilienceCurve
-    model: str
-    train_fraction: float
-    confidence: float
-    fit_kwargs: dict
-
-
-def _evaluate_cell(cell: _SweepCell) -> PredictiveEvaluation:
-    """Evaluate one grid cell (module-level so the process backend can
-    pickle it)."""
-    return evaluate_predictive(
-        make_model(cell.model),
-        cell.curve,
-        train_fraction=cell.train_fraction,
-        confidence=cell.confidence,
-        **cell.fit_kwargs,
-    )
-
-
 def _validation_sweep(
     model_names: tuple[str, ...],
     *,
@@ -186,34 +162,34 @@ def _validation_sweep(
 ) -> TableOneResult:
     """Evaluate every (dataset, model) cell of a Table I/III-style grid.
 
-    The cells are independent fitting problems, so the grid runs on
-    ``options.executor``; results are assembled in grid order, making
-    the table identical on every backend. Every cell's fit receives the
-    bundle itself plus *fit_kwargs*. Enabling tracing (via
-    ``options.trace``) additionally wraps the whole grid in one
-    ``"table.grid"`` span.
+    Every cell's training fit is one request of a single fit-core call
+    (which runs the per-cell solves on ``options.executor``), built from
+    the bundle itself plus *fit_kwargs*; the fits are then scored in
+    grid order, making the table identical on every backend. Enabling
+    tracing (via ``options.trace``) additionally wraps the whole grid in
+    one ``"table.grid"`` span.
     """
     opts = options or DEFAULT_ENGINE_OPTIONS
     tracer = resolve_tracer(opts.trace)
-    recessions = load_all_recessions()
-    cell_kwargs = {**fit_kwargs, "options": opts}
     cells = [
-        _SweepCell(
-            dataset_name, curve, model_name, train_fraction, confidence,
-            cell_kwargs,
-        )
-        for dataset_name, curve in recessions.items()
+        (dataset_name, model_name, curve, *curve.train_test_split(train_fraction))
+        for dataset_name, curve in load_all_recessions().items()
         for model_name in model_names
     ]
+    requests = [
+        _fit_request(make_model(model_name), train, options=opts, **fit_kwargs)  # type: ignore[arg-type]
+        for _, model_name, _, train, _ in cells
+    ]
+    result = TableOneResult(model_names=model_names, title=title)
     with tracer.span(
         "table.grid", title=title, n_cells=len(cells)
     ), activate(tracer):
-        evaluations = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _evaluate_cell, cells
-        )
-    result = TableOneResult(model_names=model_names, title=title)
-    for cell, evaluation in zip(cells, evaluations):
-        result.cells.setdefault(cell.dataset, {})[cell.model] = evaluation
+        for (dataset_name, model_name, curve, _, test), fit in zip(
+            cells, _fit_all(requests)
+        ):
+            result.cells.setdefault(dataset_name, {})[model_name] = _score_fit(
+                fit, curve, test, confidence=confidence
+            )
     return result
 
 
@@ -253,29 +229,6 @@ def table3(
     )
 
 
-class _MetricCell(NamedTuple):
-    """Picklable work unit: one model column of a Table II/IV report."""
-
-    dataset: str
-    curve: ResilienceCurve
-    model: str
-    train_fraction: float
-    alpha: float
-    fit_kwargs: dict
-
-
-def _evaluate_metric_cell(cell: _MetricCell) -> PredictiveMetricReport:
-    evaluation = evaluate_predictive(
-        make_model(cell.model),
-        cell.curve,
-        train_fraction=cell.train_fraction,
-        **cell.fit_kwargs,
-    )
-    return predictive_metric_report(
-        evaluation.model, cell.curve, evaluation.split_time, alpha=cell.alpha
-    )
-
-
 def _metric_table(
     model_names: tuple[str, ...],
     dataset: str,
@@ -289,20 +242,20 @@ def _metric_table(
     opts = options or DEFAULT_ENGINE_OPTIONS
     tracer = resolve_tracer(opts.trace)
     curve = load_recession(dataset)
-    cell_kwargs = {**fit_kwargs, "options": opts}
-    cells = [
-        _MetricCell(dataset, curve, model_name, train_fraction, alpha, cell_kwargs)
+    train, test = curve.train_test_split(train_fraction)
+    split_time = float(test.times[0])
+    requests = [
+        _fit_request(make_model(model_name), train, options=opts, **fit_kwargs)  # type: ignore[arg-type]
         for model_name in model_names
     ]
-    with tracer.span(
-        "table.metrics", title=title, n_cells=len(cells)
-    ), activate(tracer):
-        reports = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _evaluate_metric_cell, cells
-        )
     result = TableMetricsResult(dataset=dataset, title=title)
-    for cell, report in zip(cells, reports):
-        result.reports[cell.model] = report
+    with tracer.span(
+        "table.metrics", title=title, n_cells=len(requests)
+    ), activate(tracer):
+        for model_name, fit in zip(model_names, _fit_all(requests)):
+            result.reports[model_name] = predictive_metric_report(
+                fit.model, curve, split_time, alpha=alpha
+            )
     return result
 
 
@@ -384,55 +337,6 @@ class TruncationGridResult:
         return format_table(headers, rows, title=self.title)
 
 
-class _TruncationChain(NamedTuple):
-    """Picklable work unit: one (dataset, model) pair swept over every
-    training fraction, warm-starting each prefix from the previous."""
-
-    dataset: str
-    curve: ResilienceCurve
-    model: str
-    fractions: tuple[float, ...]
-    confidence: float
-    warm_start: bool
-    warm_n_random_starts: int
-    options: EngineOptions
-    fit_kwargs: dict
-
-
-def _evaluate_chain(
-    chain: _TruncationChain,
-) -> tuple[str, str, dict[float, PredictiveEvaluation]]:
-    """Evaluate one warm-start chain (module-level so the process
-    backend can pickle it).
-
-    Fractions are visited in ascending order; each prefix's optimum is
-    injected as an extra start for the next prefix, whose random-start
-    budget shrinks to ``warm_n_random_starts`` — adjacent prefixes share
-    most of their data, so the previous optimum is almost always in the
-    right basin already.
-    """
-    evaluations: dict[float, PredictiveEvaluation] = {}
-    previous_optimum: tuple[float, ...] | None = None
-    for fraction in chain.fractions:
-        kwargs = _warm_start_kwargs(
-            chain.fit_kwargs,
-            chain.options,
-            previous_optimum if chain.warm_start else None,
-            chain.warm_n_random_starts,
-        )
-        evaluation = evaluate_predictive(
-            make_model(chain.model),
-            chain.curve,
-            train_fraction=fraction,
-            confidence=chain.confidence,
-            options=chain.options,
-            **kwargs,
-        )
-        evaluations[fraction] = evaluation
-        previous_optimum = evaluation.model.params
-    return chain.dataset, chain.model, evaluations
-
-
 def truncation_grid(
     model_names: tuple[str, ...] = MIXTURE_MODEL_NAMES,
     *,
@@ -446,11 +350,15 @@ def truncation_grid(
 ) -> TruncationGridResult:
     """Sweep the Table I/III protocol over several training fractions.
 
-    Each (dataset, model) pair forms an independent chain that walks the
-    fractions in ascending order with warm-start propagation (see
-    :func:`_evaluate_chain`); chains run in parallel on
-    ``options.executor``. Results are assembled in grid order, so the
-    table is identical on every backend.
+    Each (dataset, model) pair forms a chain that walks the fractions in
+    ascending order. Every fraction step is one fit-core call across all
+    chains (the per-cell solves run on ``options.executor``, one
+    resolved executor for every step), and each prefix's optimum is
+    injected as an extra start for the chain's next prefix, whose
+    random-start budget shrinks to ``warm_n_random_starts`` — adjacent
+    prefixes share most of their data, so the previous optimum is
+    almost always in the right basin already. Results are assembled in
+    grid order, so the table is identical on every backend.
 
     Parameters
     ----------
@@ -481,31 +389,48 @@ def truncation_grid(
         recessions = load_all_recessions()
     else:
         recessions = {name: load_recession(name) for name in datasets}
-    tracer = resolve_tracer(opts.trace)
+    engine = opts.resolve()
+    tracer = engine.tracer
+    # One resolved executor serves every fraction step.
+    opts = opts.replace(executor=engine.executor)
+    families = {name: make_model(name) for name in model_names}
     chains = [
-        _TruncationChain(
-            dataset_name, curve, model_name, ordered_fractions, confidence,
-            warm_start, warm_n_random_starts, opts, fit_kwargs,
-        )
+        (dataset_name, model_name, curve)
         for dataset_name, curve in recessions.items()
         for model_name in model_names
     ]
+    evaluations: list[dict[float, PredictiveEvaluation]] = [{} for _ in chains]
+    # Each chain's latest optimum, injected into its next prefix's fit.
+    optima: list[tuple[float, ...] | None] = [None] * len(chains)
     with tracer.span(
         "truncation.grid",
         n_chains=len(chains),
         n_fractions=len(ordered_fractions),
         warm_start=warm_start,
     ), activate(tracer):
-        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _evaluate_chain, chains
-        )
+        for fraction in ordered_fractions:
+            splits = [curve.train_test_split(fraction) for _, _, curve in chains]
+            requests = []
+            for (_, model_name, _), (train, _), previous in zip(chains, splits, optima):
+                kwargs = _warm_start_kwargs(
+                    fit_kwargs, opts, previous if warm_start else None,
+                    warm_n_random_starts,
+                )
+                family = families[model_name]
+                requests.append(_fit_request(family, train, options=opts, **kwargs))  # type: ignore[arg-type]
+            for index, fit in enumerate(_fit_all(requests)):
+                curve, test = chains[index][2], splits[index][1]
+                evaluations[index][fraction] = _score_fit(
+                    fit, curve, test, confidence=confidence
+                )
+                optima[index] = fit.model.params
     result = TruncationGridResult(
         model_names=tuple(model_names),
         fractions=ordered_fractions,
         title="Truncation sweep — held-out PMSE by training fraction",
     )
-    for dataset_name, model_name, evaluations in triples:
-        result.cells.setdefault(dataset_name, {})[model_name] = evaluations
+    for (dataset_name, model_name, _), done in zip(chains, evaluations):
+        result.cells.setdefault(dataset_name, {})[model_name] = done
     return result
 
 

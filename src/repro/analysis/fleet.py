@@ -4,8 +4,8 @@ Formalizes the multi-event pipeline (simulated in
 ``examples/operational_history.py``): segment a history into
 disruption episodes, compute each episode's point metrics, fit a model
 per episode, and aggregate — turning the paper's single-event
-machinery into an operational report. Episodes are independent fitting
-problems, so the per-episode work can run on any
+machinery into an operational report. The episodes' fits are one call
+of the fit core, whose per-episode solves run on any
 :class:`~repro.parallel.FitExecutor` backend.
 """
 
@@ -13,21 +13,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.curve import ResilienceCurve
 from repro.core.episodes import Episode, split_episodes
 from repro.core.phases import detect_phases
-from repro.exceptions import ReproError
-from repro.fitting.least_squares import fit_least_squares
+from repro.exceptions import FitError, ReproError
+from repro.fitting.least_squares import _fit_request, _fit_requests
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
 from repro.metrics.point import rapidity, time_to_recovery
 from repro.models.registry import make_model
 from repro.observability.tracer import activate, resolve_tracer
-from repro.parallel import get_executor
 from repro.utils.tables import format_table
 
 __all__ = ["EpisodeScore", "EpisodeScorecard", "episode_scorecard"]
@@ -132,46 +130,41 @@ class EpisodeScorecard:
         )
 
 
-class _EpisodeWork(NamedTuple):
-    """Picklable work unit: score one episode."""
-
-    episode: Episode
-    model: str
-    tolerance: float
-    level: float
-    fit_kwargs: dict
-
-
-def _score_episode(work: _EpisodeWork) -> EpisodeScore:
-    """Compute one episode's metrics and fit (module-level so the
-    process backend can pickle it)."""
-    curve = work.episode.curve.shifted(-float(work.episode.curve.times[0]))
-
+def _episode_score(
+    episode: Episode,
+    curve: ResilienceCurve,
+    fit: FitResult | FitError,
+    tolerance: float,
+    level: float,
+) -> EpisodeScore:
+    """One episode's metrics, from its start-shifted *curve* and the
+    core's result for it (a fit, or the error that replaced it)."""
     observed_recovery: float | None = None
     episode_rapidity: float | None = None
     try:
-        phases = detect_phases(curve, tolerance=work.tolerance)
+        phases = detect_phases(curve, tolerance=tolerance)
         episode_rapidity = rapidity(curve, phases)
         observed_recovery = time_to_recovery(curve, phases)
     except ReproError as exc:
         logger.debug("episode phase metrics unavailable: %s", exc)
 
-    fit: FitResult | None = None
     predicted_recovery: float | None = None
-    try:
-        fit = fit_least_squares(make_model(work.model), curve, **work.fit_kwargs)
-        predicted_recovery = fit.model.recovery_time(
-            work.level, horizon=100.0 * max(curve.duration, 1.0)
-        )
-    except (ReproError, ValueError) as exc:
-        logger.debug("episode fit/recovery unavailable: %s", exc)
+    if isinstance(fit, FitError):
+        logger.debug("episode fit unavailable: %s", fit)
+    else:
+        try:
+            predicted_recovery = fit.model.recovery_time(
+                level, horizon=100.0 * max(curve.duration, 1.0)
+            )
+        except (ReproError, ValueError) as exc:
+            logger.debug("episode recovery unavailable: %s", exc)
 
     return EpisodeScore(
-        episode=work.episode,
-        depth=work.episode.depth,
+        episode=episode,
+        depth=episode.depth,
         rapidity=episode_rapidity,
         observed_recovery=observed_recovery,
-        fit=fit,
+        fit=None if isinstance(fit, FitError) else fit,
         predicted_recovery=predicted_recovery,
     )
 
@@ -204,11 +197,11 @@ def episode_scorecard(
         ``nominal·(1 − tolerance)``.
     options:
         :class:`~repro.fitting.options.EngineOptions` bundle. The
-        independent per-episode fits run on its ``executor``/
-        ``n_workers`` (scores are assembled in episode order on every
-        backend) and each receives the bundle itself; enabling
-        ``trace`` also wraps the whole scorecard in one
-        ``"episodes.scorecard"`` span.
+        per-episode fits are one fit-core call, whose per-episode
+        solves run on its ``executor``/``n_workers`` (scores are
+        assembled in episode order on every backend), and each receives
+        the bundle itself; enabling ``trace`` also wraps the whole
+        scorecard in one ``"episodes.scorecard"`` span.
     fit_kwargs:
         Passed through to :func:`~repro.fitting.fit_least_squares`
         (explicit science kwargs override the bundle's fields).
@@ -223,20 +216,22 @@ def episode_scorecard(
         if recovery_level is None
         else float(recovery_level)
     )
-    fit_kwargs = {**fit_kwargs, "options": opts}
-    work_units = [
-        _EpisodeWork(episode, model, tolerance, level, fit_kwargs)
-        for episode in episodes
+    family = make_model(model)
+    curves = [
+        episode.curve.shifted(-float(episode.curve.times[0])) for episode in episodes
+    ]
+    requests = [
+        _fit_request(family, curve, options=opts, **fit_kwargs)  # type: ignore[arg-type]
+        for curve in curves
     ]
     with tracer.span(
         "episodes.scorecard",
         history=history.name or "<history>",
-        n_episodes=len(work_units),
+        n_episodes=len(episodes),
         model=model,
     ), activate(tracer):
-        scores = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _score_episode, work_units
-        )
-    return EpisodeScorecard(
-        history=history, scores=list(scores), band_tolerance=tolerance
-    )
+        scores = [
+            _episode_score(episode, curve, fit, tolerance, level)
+            for episode, curve, fit in zip(episodes, curves, _fit_requests(requests))
+        ]
+    return EpisodeScorecard(history=history, scores=scores, band_tolerance=tolerance)

@@ -300,8 +300,8 @@ def fit_fleet(
         repeat a cache key; pass ``True`` or a
         :class:`~repro.fitting.cache.FitCache` to opt in, on either
         engine). ``trace`` wraps the call in one ``"fit.fleet"`` span.
-        Like a single fit, a fleet solves in the calling thread: its
-        ``executor``/``n_workers`` are not used.
+        Each chunk's per-cell solves run on its ``executor`` and
+        ``n_workers``, as for every other caller of the fit core.
     chunk_size:
         Episodes fitted per batched solve. Peak memory scales with
         ``chunk_size × families × starts × grid length`` and is
@@ -381,10 +381,7 @@ def fit_fleet(
                     screen = _padded_screen(curve, length_bucket)
                 for family_slot, family in enumerate(resolved_families):
                     try:
-                        cell = _plan_cell(
-                            family, curve, n_random_starts=opts.n_random_starts,
-                            seed=opts.seed, max_nfev=opts.max_nfev, jac=opts.jac,
-                        )
+                        cell = _plan_cell(family, curve, opts)
                     except FitError as exc:  # e.g. too few observations
                         logger.debug(
                             "fit_fleet: %r not fitted to %r: %s",
@@ -400,6 +397,8 @@ def fit_fleet(
                 engine_mode=engine_mode,
                 cache=cache,
                 tracer=tracer,
+                executor=opts.executor,
+                n_workers=opts.n_workers,
                 confirm=confirm,
             )
             for (episode_slot, family_slot), cell, solve in zip(slots, cells, solves):

@@ -2,27 +2,33 @@
 
 ``fit_least_squares`` minimizes ``Σᵢ (R(tᵢ) − P(tᵢ))²`` over the
 model's bounded parameter space by multi-start least squares and keeps
-the best optimum. Parallelism lives one level up: the grid entry points
-(:func:`fit_many`, the table sweeps, the episode scorecard) run whole
-fits as independent cells on a :class:`~repro.parallel.FitExecutor`.
+the best optimum.
 
-Every multi-start solve — one fit here, or every ``(episode, family)``
-cell of :func:`~repro.fitting.fleet.fit_fleet` — goes through one core.
-``_plan_cell`` validates a request and builds its cell; ``_solve_cells``
-looks each cell up in the :class:`~repro.fitting.cache.FitCache`,
-*screens* the remaining cells' starts in one go, and reduces each cell
-through ``_select_and_confirm``. The screen depends on the engine:
+Every multi-start solve — one fit here, every fit of a grid
+(:func:`fit_many`, the table sweeps, the episode scorecard, the serving
+refit tick), or every ``(episode, family)`` cell of
+:func:`~repro.fitting.fleet.fit_fleet` — goes through one core.
+``_fit_requests`` turns a list of fit requests into results in one
+call: ``_plan_cell`` validates each request and builds its cell, and
+``_solve_cells`` looks each cell up in the
+:class:`~repro.fitting.cache.FitCache`, *screens* the remaining cells'
+starts in one go, and reduces each cell through ``_select_and_confirm``.
+Parallelism lives in ``_solve_cells`` alone: the per-cell reduce runs
+on the call's :class:`~repro.parallel.FitExecutor`, results in input
+order, and no pool is built for a single pending cell. The screen
+depends on the engine:
 
 * ``engine="scipy"`` solves every start with scipy's
-  trust-region-reflective least squares, in order. This is the
-  golden-table oracle.
+  trust-region-reflective least squares, in order, inside the cell's
+  reduce. This is the golden-table oracle.
 * ``engine="batched"`` stacks every start of every cell into one call
-  of the :mod:`repro.fitting.batched` Levenberg–Marquardt kernel, which
-  advances them in lockstep. The kernel only ranks starts: the winning
-  start is then re-solved by scipy from its original x0, so the final
-  optimum is the exact scipy trajectory and rendered tables are
-  byte-identical under both engines. A cell with a single start has
-  nothing to rank and goes straight to that scipy solve.
+  of the :mod:`repro.fitting.batched` Levenberg–Marquardt kernel, in
+  the calling thread, which advances them in lockstep. The kernel only
+  ranks starts: the winning start is then re-solved by scipy from its
+  original x0 in the cell's reduce, so the final optimum is the exact
+  scipy trajectory and rendered tables are byte-identical under both
+  engines. A cell with a single start has nothing to rank and goes
+  straight to that scipy solve.
 
 Families that expose
 :meth:`~repro.models.base.ResilienceModel.prediction_jacobian` in
@@ -57,8 +63,8 @@ from repro.fitting.options import (
 )
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
-from repro.observability.tracer import NULL_TRACER, activate, resolve_tracer
-from repro.parallel import get_executor
+from repro.observability.tracer import activate, resolve_tracer
+from repro.parallel import ExecutorLike, get_executor
 
 __all__ = ["fit_least_squares", "fit_many", "FitManyResult"]
 
@@ -468,43 +474,160 @@ def _solve_from_record(record: dict[str, Any]) -> _CellSolve:
     return _CellSolve(outcomes, selection, None, True)
 
 
+class _CellWork(NamedTuple):
+    """Picklable input of :func:`_reduce_cell`: a cell, its screened
+    outcomes (``None``: solve its starts with scipy), whether to confirm
+    the screen, the call's engine and tracer (the null tracer across a
+    process boundary)."""
+
+    cell: _Cell
+    outcomes: Sequence[Any] | None
+    confirm: bool
+    engine_mode: str
+    tracer: Any
+
+
+def _trace_fit(
+    tracer: Any,
+    cell: _Cell,
+    solve: _CellSolve,
+    engine_mode: str,
+    seconds: float,
+    span: Any = None,
+) -> None:
+    """Attribute one cell to the open ``"fit"`` *span* of its reduce, or
+    record one for a cache hit; count the metrics of a solved fit."""
+    attrs: dict[str, Any] = {
+        "family": cell.family.name,
+        "curve": cell.curve.name or "<curve>",
+        "n_points": len(cell.curve),
+    }
+    selection = solve.selection
+    if selection is None:
+        attrs["error"] = type(solve.error).__name__
+    else:
+        nfev, njev = solve.totals()
+        attrs.update(
+            sse=_reported_sse(cell, selection),
+            converged=selection.converged,
+            n_starts=len(cell.start_vectors),
+            n_failures=selection.failures,
+            nfev=nfev,
+            njev=njev,
+            jac_mode=cell.jac_mode,
+            engine=engine_mode,
+            cache_hit=solve.cache_hit,
+        )
+        tracer.metrics.inc("fit.count")
+        tracer.metrics.inc("fit.nfev", nfev)
+        tracer.metrics.inc("fit.njev", njev)
+        tracer.metrics.observe("fit.seconds", seconds)
+    if span is None:
+        tracer.record("fit", seconds, **attrs)
+    else:
+        span.set(**attrs)
+
+
+def _reported_sse(cell: _Cell, selection: _WinnerSelection) -> float:
+    """The Eq. (9) SSE: selection used the weighted objective, but the
+    unweighted SSE keeps results comparable across weightings."""
+    if cell.sqrt_weights is None:
+        return selection.sse
+    return cell.family.sse(cell.curve, selection.vector)
+
+
+def _reduce_cell(work: _CellWork) -> _CellSolve:
+    """One pending cell's own work, traced as one ``"fit"`` span: its
+    in-order scipy starts (when unscreened), then
+    :func:`_select_and_confirm`. Module-level so the process backend
+    can pickle it."""
+    cell, tracer = work.cell, work.tracer
+    start_time = time.perf_counter()
+    with tracer.span("fit") as span:
+        outcomes = work.outcomes or [
+            _solve_start(
+                cell.family, cell.curve, start, cell.lower, cell.upper,
+                cell.max_nfev, cell.sqrt_weights, cell.jac_mode,
+            )
+            for start in cell.start_vectors
+        ]
+        if tracer.enabled:
+            for start_index, outcome in enumerate(outcomes):
+                tracer.record(
+                    "fit.start",
+                    outcome.seconds,
+                    index=start_index,
+                    sse=outcome.sse,
+                    nfev=outcome.nfev,
+                    njev=outcome.njev,
+                    converged=outcome.converged,
+                    failed=outcome.vector is None,
+                )
+                tracer.metrics.observe("fit.start_seconds", outcome.seconds)
+        try:
+            selection = _select_and_confirm(
+                cell.family, cell.curve, cell.start_vectors, outcomes,
+                lower=cell.lower, upper=cell.upper, max_nfev=cell.max_nfev,
+                sqrt_weights=cell.sqrt_weights, jac_mode=cell.jac_mode,
+                engine_mode="batched" if work.confirm else "scipy",
+                tracer=tracer,
+            )
+        except ConvergenceError as exc:
+            solve = _CellSolve(outcomes, None, exc, False)
+        else:
+            solve = _CellSolve(outcomes, selection, None, False)
+        if tracer.enabled:
+            _trace_fit(
+                tracer, cell, solve, work.engine_mode,
+                time.perf_counter() - start_time, span,
+            )
+    return solve
+
+
 def _solve_cells(
     cells: Sequence[_Cell],
     *,
     engine_mode: str,
     cache: FitCache | None,
     tracer: Any,
+    executor: ExecutorLike,
+    n_workers: int | None,
     confirm: bool = True,
 ) -> list[_CellSolve]:
     """Solve every cell: cache lookup, one screen, per-cell reduction.
 
-    Cells found in *cache* are returned as stored. The rest are
-    screened together — one :func:`~repro.fitting.batched.solve_batched`
-    call over every start of every cell under ``engine_mode ==
-    "batched"``, the in-order scipy loop otherwise — and each cell is
-    then reduced through :func:`_select_and_confirm`. A batched screen
-    only ranks starts, so a one-start cell skips it and is solved by
-    scipy alone. ``confirm=False`` reports the screened optima without
-    the scipy confirmation. Results come back in cell order.
+    Cells found in *cache* are returned as stored. Under ``engine_mode
+    == "batched"`` the rest are screened in the calling thread by one
+    :func:`~repro.fitting.batched.solve_batched` call over every start
+    of every cell (a one-start cell has nothing to rank and skips it).
+    Each pending cell is then reduced by :func:`_reduce_cell` on
+    ``get_executor(executor, max_workers=n_workers)``, which is not
+    built for a single pending cell. ``confirm=False`` reports the
+    screened optima without the scipy confirmation. Results come back
+    in cell order.
     """
     solves: list[_CellSolve | None] = [None] * len(cells)
     keys: list[str | None] = [None] * len(cells)
     for index, cell in enumerate(cells):
         if cache is None:
             break
+        start_time = time.perf_counter()
         keys[index] = key = _cell_cache_key(cell, engine_mode, confirm)
         record = cache.get(key)
         if tracer.enabled:
             tracer.metrics.inc("cache.hits" if record is not None else "cache.misses")
         if record is not None:
-            solves[index] = _solve_from_record(record)
+            solves[index] = solve = _solve_from_record(record)
+            if tracer.enabled:
+                _trace_fit(
+                    tracer, cell, solve, engine_mode, time.perf_counter() - start_time
+                )
     pending = [index for index, solve in enumerate(solves) if solve is None]
     screened = [
         index
         for index in pending
         if engine_mode == "batched" and len(cells[index].start_vectors) > 1
     ]
-    confirmed = set(screened) if confirm else set()
 
     outcomes: dict[int, Sequence[Any]] = {}
     if screened:
@@ -527,47 +650,26 @@ def _solve_cells(
         for index in screened:
             outcomes[index] = [next(flat) for _ in cells[index].start_vectors]
 
-    for index in pending:
-        cell = cells[index]
-        cell_outcomes = outcomes.get(index) or [
-            _solve_start(
-                cell.family, cell.curve, start, cell.lower, cell.upper,
-                cell.max_nfev, cell.sqrt_weights, cell.jac_mode,
-            )
-            for start in cell.start_vectors
-        ]
-        if tracer.enabled:
-            for start_index, outcome in enumerate(cell_outcomes):
-                tracer.record(
-                    "fit.start",
-                    outcome.seconds,
-                    index=start_index,
-                    sse=outcome.sse,
-                    nfev=outcome.nfev,
-                    njev=outcome.njev,
-                    converged=outcome.converged,
-                    failed=outcome.vector is None,
-                )
-                tracer.metrics.observe("fit.start_seconds", outcome.seconds)
-        try:
-            selection = _select_and_confirm(
-                cell.family, cell.curve, cell.start_vectors, cell_outcomes,
-                lower=cell.lower, upper=cell.upper, max_nfev=cell.max_nfev,
-                sqrt_weights=cell.sqrt_weights, jac_mode=cell.jac_mode,
-                engine_mode="batched" if index in confirmed else "scipy",
-                tracer=tracer,
-            )
-        except ConvergenceError as exc:
-            solves[index] = _CellSolve(cell_outcomes, None, exc, False)
-            continue
-        solves[index] = _CellSolve(cell_outcomes, selection, None, False)
+    work = [
+        _CellWork(
+            cells[index], outcomes.get(index), confirm and index in outcomes,
+            engine_mode, tracer,
+        )
+        for index in pending
+    ]
+    if len(work) > 1:
+        reduced = get_executor(executor, max_workers=n_workers).map(_reduce_cell, work)
+    else:
+        reduced = [_reduce_cell(unit) for unit in work]
+    for index, solve in zip(pending, reduced):
+        solves[index] = solve
         key = keys[index]
-        if cache is not None and key is not None:
+        if cache is not None and key is not None and solve.selection is not None:
             cache.put(
                 key,
                 {
-                    "outcomes": [o._asdict() for o in cell_outcomes],
-                    "selection": selection._asdict(),
+                    "outcomes": [o._asdict() for o in solve.outcomes],
+                    "selection": solve.selection._asdict(),
                 },
             )
     return [solve for solve in solves if solve is not None]
@@ -683,79 +785,115 @@ def fit_least_squares(
     ConvergenceError
         If every start fails to produce a finite optimum.
     """
-    opts = (options or DEFAULT_OPTIONS).override(
-        n_random_starts=n_random_starts,
-        seed=seed,
-        max_nfev=max_nfev,
-        jac=jac,
-        engine=engine,
+    [result] = _fit_requests(
+        [
+            _fit_request(
+                family, curve, options=options, starts=starts,
+                extra_starts=extra_starts, weights=weights,
+                n_random_starts=n_random_starts, seed=seed, max_nfev=max_nfev,
+                jac=jac, engine=engine,
+            )
+        ]
     )
-    request = (family, curve, opts, starts, extra_starts, weights)
-    tracer = resolve_tracer(opts.trace)
-    if not tracer.enabled:
-        # No-op fast path: skip span construction entirely so the
-        # disabled overhead stays within noise on the table workloads.
-        return _fit_least_squares(*request, NULL_TRACER)
-    start_time = time.perf_counter()
-    with tracer.span(
-        "fit",
-        family=family.name,
-        curve=curve.name or "<curve>",
-        n_points=len(curve),
-    ) as span:
-        result = _fit_least_squares(*request, tracer)
-        details = result.details
-        span.set(
-            sse=result.sse,
-            converged=result.converged,
-            n_starts=result.n_starts,
-            n_failures=result.n_failures,
-            nfev=details.get("nfev"),
-            njev=details.get("njev"),
-            jac_mode=details.get("jac_mode"),
-            engine=result.engine,
-            cache_hit=bool(details.get("cache_hit", False)),
-        )
-        tracer.metrics.inc("fit.count")
-        tracer.metrics.inc("fit.nfev", int(details.get("nfev", 0)))
-        tracer.metrics.inc("fit.njev", int(details.get("njev", 0)))
-        tracer.metrics.observe("fit.seconds", time.perf_counter() - start_time)
-        return result
+    if isinstance(result, FitError):
+        raise result
+    return result
 
 
-def _fit_least_squares(
+class _FitRequest(NamedTuple):
+    """The arguments of one :func:`fit_least_squares` call, its science
+    kwargs merged into ``options``."""
+
+    family: ResilienceModel
+    curve: ResilienceCurve
+    options: EngineOptions
+    starts: Sequence[Sequence[float]] | None = None
+    extra_starts: Sequence[Sequence[float]] | None = None
+    weights: Sequence[float] | None = None
+
+
+#: The science kwargs of :func:`fit_least_squares`, which override the
+#: same :class:`EngineOptions` fields.
+_SCIENCE_KWARGS = frozenset({"n_random_starts", "seed", "max_nfev", "jac", "engine"})
+
+
+def _fit_request(
     family: ResilienceModel,
     curve: ResilienceCurve,
-    opts: EngineOptions,
-    starts: Sequence[Sequence[float]] | None,
-    extra_starts: Sequence[Sequence[float]] | None,
-    weights: Sequence[float] | None,
-    tracer: Any,
-) -> FitResult:
-    """The untraced fit body; *tracer* is already resolved (possibly
-    the null tracer) and only consulted behind ``enabled`` guards."""
-    cell = _plan_cell(
-        family, curve, n_random_starts=opts.n_random_starts, seed=opts.seed,
-        max_nfev=opts.max_nfev, jac=opts.jac, starts=starts,
-        extra_starts=extra_starts, weights=weights,
-    )
+    *,
+    options: EngineOptions | None = None,
+    starts: Sequence[Sequence[float]] | None = None,
+    extra_starts: Sequence[Sequence[float]] | None = None,
+    weights: Sequence[float] | None = None,
+    **science: Any,
+) -> _FitRequest:
+    """A :class:`_FitRequest` from :func:`fit_least_squares`'s keywords,
+    so grids pass their ``**fit_kwargs`` through unchanged; any other
+    keyword is a TypeError, as it is there."""
+    unknown = sorted(set(science) - _SCIENCE_KWARGS)
+    if unknown:
+        raise TypeError(f"unexpected keyword argument(s): {', '.join(unknown)}")
+    opts = (options or DEFAULT_OPTIONS).override(**science)
+    return _FitRequest(family, curve, opts, starts, extra_starts, weights)
+
+
+def _fit_requests(requests: Sequence[_FitRequest]) -> list[FitResult | FitError]:
+    """Fit every request in one core call; results in request order.
+
+    Each request is planned by :func:`_plan_cell` and every plannable
+    cell is solved by one :func:`_solve_cells` call. A slot holds the
+    request's :class:`FitResult`, or its error: the :class:`FitError`
+    of its planning, or the :class:`ConvergenceError` of a cell whose
+    starts all failed. Each request's own options set its start budget,
+    seed, evaluation budget and Jacobian mode; the engine, cache, trace
+    and executor are the call's, read from the first request (a grid
+    builds all its requests from one bundle).
+    """
+    if not requests:
+        return []
+    opts = requests[0].options
     engine_mode = resolve_engine(opts.engine)
-    [solve] = _solve_cells(
-        [cell], engine_mode=engine_mode, cache=resolve_cache(opts.cache), tracer=tracer
+    results: list[FitResult | FitError | None] = [None] * len(requests)
+    cells: list[_Cell] = []
+    slots: list[int] = []
+    for slot, request in enumerate(requests):
+        try:
+            cell = _plan_cell(*request)
+        except FitError as exc:
+            results[slot] = exc
+            continue
+        cells.append(cell)
+        slots.append(slot)
+    solves = _solve_cells(
+        cells,
+        engine_mode=engine_mode,
+        cache=resolve_cache(opts.cache),
+        tracer=resolve_tracer(opts.trace),
+        executor=opts.executor,
+        n_workers=opts.n_workers,
     )
-    if solve.selection is None:
-        assert solve.error is not None
-        raise solve.error
+    for slot, cell, solve in zip(slots, cells, solves):
+        results[slot] = solve.error or _fit_result(cell, solve, engine_mode)
+    return [result for result in results if result is not None]
+
+
+def _fit_all(requests: Sequence[_FitRequest]) -> list[FitResult]:
+    """:func:`_fit_requests` for grids that fail as a whole: the first
+    error, in request order, is raised."""
+    fits: list[FitResult] = []
+    for fit in _fit_requests(requests):
+        if isinstance(fit, FitError):
+            raise fit
+        fits.append(fit)
+    return fits
+
+
+def _fit_result(cell: _Cell, solve: _CellSolve, engine_mode: str) -> FitResult:
+    """Assemble one solved cell's :class:`FitResult`."""
     selection = solve.selection
+    assert selection is not None
     outcomes = solve.outcomes
     nfev, njev = solve.totals()
-
-    best_sse = selection.sse
-    if cell.sqrt_weights is not None:
-        # Selection used the weighted objective; report the unweighted
-        # Eq. (9) SSE so results stay comparable across weightings.
-        best_sse = family.sse(curve, selection.vector)
-
     details: dict[str, Any] = {
         "per_start_sse": [outcome.sse for outcome in outcomes],
         "per_start_nfev": [outcome.nfev for outcome in outcomes],
@@ -776,9 +914,9 @@ def _fit_least_squares(
         ]
     details["cache_hit"] = solve.cache_hit
     return FitResult(
-        model=family.bind(selection.vector),
-        curve=curve,
-        sse=best_sse,
+        model=cell.family.bind(selection.vector),
+        curve=cell.curve,
+        sse=_reported_sse(cell, selection),
         converged=selection.converged,
         n_starts=len(cell.start_vectors),
         n_failures=selection.failures,
@@ -791,17 +929,14 @@ def _fit_least_squares(
 def _plan_cell(
     family: ResilienceModel,
     curve: ResilienceCurve,
-    *,
-    n_random_starts: int,
-    seed: int | None,
-    max_nfev: int,
-    jac: str,
+    options: EngineOptions,
     starts: Sequence[Sequence[float]] | None = None,
     extra_starts: Sequence[Sequence[float]] | None = None,
     weights: Sequence[float] | None = None,
 ) -> _Cell:
-    """Validate one fit request and turn it into a cell for
-    :func:`_solve_cells`, generating the starts unless they are given.
+    """Validate one fit request (the fields of a :class:`_FitRequest`)
+    and turn it into a cell for :func:`_solve_cells`, generating the
+    starts from the *options*' budget and seed unless they are given.
     Raises :class:`FitError` on a request that cannot be fitted."""
     if len(curve) <= family.n_params:
         raise FitError(
@@ -811,7 +946,7 @@ def _plan_cell(
     if not np.all(np.isfinite(curve.performance)):
         raise FitError("curve contains non-finite performance values")
 
-    jac_mode = _resolve_jac_mode(family, jac)
+    jac_mode = _resolve_jac_mode(family, options.jac)
     lower = tuple(float(v) for v in family.lower_bounds)
     upper = tuple(float(v) for v in family.upper_bounds)
 
@@ -830,9 +965,9 @@ def _plan_cell(
         sqrt_weights = tuple(float(v) for v in np.sqrt(weight_array))
 
     if starts is None:
-        kwargs = {} if seed is None else {"seed": seed}
+        kwargs = {} if options.seed is None else {"seed": options.seed}
         start_vectors: list[tuple[float, ...]] = generate_starts(
-            family, curve, n_random=n_random_starts, **kwargs
+            family, curve, n_random=options.n_random_starts, **kwargs
         )
     else:
         start_vectors = [tuple(float(v) for v in s) for s in starts]
@@ -857,7 +992,8 @@ def _plan_cell(
             s for s in start_vectors if s not in injected
         ]
     return _Cell(
-        family, curve, start_vectors, sqrt_weights, jac_mode, lower, upper, max_nfev
+        family, curve, start_vectors, sqrt_weights, jac_mode, lower, upper,
+        options.max_nfev,
     )
 
 
@@ -922,24 +1058,6 @@ class FitManyResult(dict):
         return (FitManyResult, (dict(self), self.failures))
 
 
-class _FamilyWork(NamedTuple):
-    """Picklable work unit: one family fit against the shared curve."""
-
-    family: ResilienceModel
-    curve: ResilienceCurve
-    fit_kwargs: dict
-
-
-def _fit_family(work: _FamilyWork) -> tuple[str, FitResult | None, str]:
-    """Fit one family, encoding convergence failure in the result."""
-    try:
-        return work.family.name, fit_least_squares(
-            work.family, work.curve, **work.fit_kwargs
-        ), ""
-    except ConvergenceError as exc:
-        return work.family.name, None, str(exc)
-
-
 def fit_many(
     families: Iterable[ResilienceModel],
     curve: ResilienceCurve,
@@ -957,31 +1075,33 @@ def fit_many(
     Parameters
     ----------
     options:
-        :class:`~repro.fitting.options.EngineOptions` bundle. Each
-        family is an independent fit, so the family loop runs on its
-        ``executor``/``n_workers``; every per-family fit receives the
-        bundle itself. Enabling ``trace`` both traces each per-family
-        fit and wraps the whole call in one ``"fit.many"`` span.
+        :class:`~repro.fitting.options.EngineOptions` bundle. The
+        families are fitted in one core call, whose per-family reduce
+        runs on its ``executor``/``n_workers``. Enabling ``trace``
+        both traces each per-family fit and wraps the whole call in one
+        ``"fit.many"`` span.
     kwargs:
         Passed through to :func:`fit_least_squares` (explicit science
         kwargs override the bundle's fields there).
     """
     opts = options or DEFAULT_OPTIONS
     tracer = resolve_tracer(opts.trace)
-    work_units = [
-        _FamilyWork(family, curve, {**kwargs, "options": opts}) for family in families
+    requests = [
+        _fit_request(family, curve, options=opts, **kwargs)  # type: ignore[arg-type]
+        for family in families
     ]
     with tracer.span(
-        "fit.many", n_families=len(work_units), curve=curve.name or "<curve>"
+        "fit.many", n_families=len(requests), curve=curve.name or "<curve>"
     ), activate(tracer):
-        triples = get_executor(opts.executor, max_workers=opts.n_workers).map(
-            _fit_family, work_units
-        )
+        fits = _fit_requests(requests)
     result = FitManyResult()
-    for name, fit, error in triples:
-        if fit is None:
-            logger.warning("fit_many: family %r failed to converge: %s", name, error)
-            result.failures[name] = error
+    for request, fit in zip(requests, fits):
+        name = request.family.name
+        if isinstance(fit, ConvergenceError):
+            logger.warning("fit_many: family %r failed to converge: %s", name, fit)
+            result.failures[name] = str(fit)
+        elif isinstance(fit, FitError):
+            raise fit
         else:
             result[name] = fit
     return result

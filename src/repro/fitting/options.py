@@ -27,9 +27,10 @@ uniformly:
   in exactly one place — :meth:`EngineOptions.resolve` — which maps the
   ``None`` placeholders onto concrete cache/tracer/executor instances.
 
-The executor has one meaning: grid entry points run their independent
-cells (families, episodes, table cells) on it. A single fit always
-solves its multi-starts in order, in the calling thread.
+The executor has one meaning: the fit core runs the per-cell solves of
+one call on it (the families, episodes or table cells of a grid). A
+single fit is one cell and solves its multi-starts in order, in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class EngineOptions:
         ``True`` (process-global tracer), or a
         :class:`~repro.observability.Tracer` instance.
     executor:
-        Backend name/instance the grid entry points run their
-        independent cells on, ``None`` for the ``REPRO_FIT_EXECUTOR``
-        default. A single fit never uses it.
+        Backend name/instance the fit core runs a grid's per-cell
+        solves on, ``None`` for the ``REPRO_FIT_EXECUTOR`` default. A
+        single fit never uses it.
     n_workers:
         Worker count for pooled backends (``None`` →
         ``REPRO_FIT_WORKERS`` or the CPU count).

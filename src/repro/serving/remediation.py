@@ -70,12 +70,6 @@ __all__ = [
 ]
 
 
-#: Remediation solves run serially inside :meth:`RemediationLoop.execute`
-#: (which itself may run on a worker thread) with cache and trace off —
-#: the same isolation contract as the session's batched refit units.
-_REMEDIATION_OPTIONS = EngineOptions(cache=False, trace=False, executor="serial")
-
-
 @dataclass(frozen=True)
 class RemediationConfig:
     """Knobs of one :class:`RemediationLoop`.
@@ -159,7 +153,7 @@ class RemediationPlan(NamedTuple):
     full: ResilienceCurve
     holdout_times: tuple[float, ...]
     holdout_perf: tuple[float, ...]
-    solver_kwargs: dict
+    options: EngineOptions
 
 
 class RemediationOutcome(NamedTuple):
@@ -199,7 +193,6 @@ def execute_remediation(plan: RemediationPlan) -> RemediationOutcome:
     Module-level and driven only by the plan snapshot, so it can run on
     any worker the caller chooses.
     """
-    solver = dict(plan.solver_kwargs)
     family: ResilienceModel | None = None
     try:
         if plan.kind == "reselect":
@@ -208,9 +201,7 @@ def execute_remediation(plan: RemediationPlan) -> RemediationOutcome:
             # flexible family can track the pre-drift shape (low train
             # SSE) and still extrapolate the drifted regime badly; the
             # holdout is what the adopted fit must survive.
-            results = fit_many(
-                plan.candidates, plan.train, options=_REMEDIATION_OPTIONS, **solver
-            )
+            results = fit_many(plan.candidates, plan.train, options=plan.options)
             if not results:
                 raise ConvergenceError(
                     f"no candidate family converged for {plan.key!r}"
@@ -233,9 +224,8 @@ def execute_remediation(plan: RemediationPlan) -> RemediationOutcome:
             candidate = fit_least_squares(
                 family,
                 plan.train,
-                options=_REMEDIATION_OPTIONS,
+                options=plan.options,
                 extra_starts=(plan.incumbent_params,),
-                **solver,
             )
     except ConvergenceError:
         return RemediationOutcome(
@@ -263,9 +253,8 @@ def execute_remediation(plan: RemediationPlan) -> RemediationOutcome:
         final = fit_least_squares(
             family,
             plan.full,
-            options=_REMEDIATION_OPTIONS,
+            options=plan.options,
             starts=(candidate.model.params,),
-            **solver,
         )
     except ConvergenceError:
         return RemediationOutcome(
@@ -427,11 +416,6 @@ class RemediationLoop:
         candidates = self._candidates
         if all(f.name != incumbent.name for f in candidates):
             candidates = (incumbent, *candidates)
-        solver_kwargs = {
-            name: value
-            for name, value in self.session.options.to_kwargs().items()
-            if name in ("jac", "seed", "n_random_starts", "max_nfev")
-        }
         fit = forecaster.fit
         return RemediationPlan(
             key=detection.key,
@@ -445,7 +429,10 @@ class RemediationLoop:
             full=full,
             holdout_times=tuple(float(t) for t in full.times[-k:]),
             holdout_perf=tuple(float(p) for p in full.performance[-k:]),
-            solver_kwargs=solver_kwargs,
+            # The session's solver fields (engine included), solved serially.
+            options=self.session.options.replace(
+                cache=False, trace=False, executor="serial"
+            ),
         )
 
     # ------------------------------------------------------------------

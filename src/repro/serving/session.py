@@ -5,41 +5,25 @@
 concurrently disrupted systems" workload — behind one resolved
 cache/tracer/executor. Observations are routed by stream key
 (auto-registering unknown keys), and :meth:`ForecastSession.refit_stale`
-runs every due refit as one batch on the shared executor instead of
-N sequential solves.
+runs every due refit as one call of the fit core instead of N
+sequential solves; the core runs the per-stream solves on the shared
+executor.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.core.curve import ResilienceCurve
 from repro.datasets.stream import StreamEvent
 from repro.exceptions import ServingError
 from repro.serving.errors import StreamNotFound
-from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.least_squares import _fit_all, _fit_request
 from repro.fitting.options import EngineOptions
 from repro.fitting.result import FitResult
 from repro.models.base import ResilienceModel
 from repro.serving.online import Forecast, ForecastReport, OnlineForecaster, RefitPolicy
 
 __all__ = ["ForecastSession", "PlannedRefit"]
-
-
-class _BatchRefitWork(NamedTuple):
-    """Picklable work unit: one stream's planned refit.
-
-    The solve runs serially inside the unit (the batch itself is the
-    parallel dimension) and without cache/trace plumbing, which cannot
-    cross a process boundary; the session re-attaches results — and
-    hit-rate accounting — in the parent.
-    """
-
-    key: str
-    family: ResilienceModel
-    curve: ResilienceCurve
-    fit_kwargs: dict
-    solver_kwargs: dict
 
 
 class PlannedRefit(NamedTuple):
@@ -55,26 +39,6 @@ class PlannedRefit(NamedTuple):
     key: str
     forecaster: OnlineForecaster
     plan: Any  # _RefitPlan; private to repro.serving.online
-    work: _BatchRefitWork
-
-
-#: Plumbing for batch work units: the batch itself is the parallel
-#: dimension, and cache/trace handles cannot cross a process boundary,
-#: so each unit solves with both disabled (the session re-attaches
-#: hit-rate accounting in the parent).
-_BATCH_REFIT_OPTIONS = EngineOptions(cache=False, trace=False)
-
-
-def _execute_batch_refit(work: _BatchRefitWork) -> tuple[str, FitResult]:
-    # Plan kwargs (warm starts, shrunk budgets) win over the session's
-    # baseline solver kwargs, mirroring the inline merge order.
-    kwargs = {**work.solver_kwargs, **work.fit_kwargs}
-    return work.key, fit_least_squares(
-        work.family,
-        work.curve,
-        options=_BATCH_REFIT_OPTIONS,
-        **kwargs,
-    )
 
 
 class ForecastSession:
@@ -111,6 +75,8 @@ class ForecastSession:
             executor=self._engine.executor,
             n_workers=None,
         )
+        # Batch refits solve with cache and trace off.
+        self._refit_options = self._stream_options.replace(cache=False, trace=False)
         self._default_family = family
         self._default_policy = policy
         self._default_candidates = candidates
@@ -216,33 +182,32 @@ class ForecastSession:
         results back on the loop. The registry is snapshotted up front,
         so streams may be added or removed while the solves run.
         """
-        solver_kwargs = {
-            name: value
-            for name, value in self.options.to_kwargs().items()
-            if name in ("jac", "engine", "seed", "n_random_starts", "max_nfev")
-        }
         planned: list[PlannedRefit] = []
         for key, forecaster in list(self._forecasters.items()):
             plan = forecaster.refit_plan()
             if plan is not None:
-                work = _BatchRefitWork(
-                    key, plan.family, plan.curve, plan.fit_kwargs, solver_kwargs
-                )
-                planned.append(PlannedRefit(key, forecaster, plan, work))
+                planned.append(PlannedRefit(key, forecaster, plan))
         return planned
 
     def execute_refits(self, planned: Sequence[PlannedRefit]) -> list[FitResult]:
-        """Solve *planned* as one batch on the shared executor.
+        """Solve *planned* as one call of the fit core.
 
-        Pure compute: session state is untouched, so this step is safe
-        to run off-thread while the event loop keeps serving.
+        The core runs the per-stream solves on the shared executor. A
+        failed refit raises here, as an inline refit would. Pure
+        compute: session state is untouched, so this step is safe to
+        run off-thread while the event loop keeps serving.
         """
-        if not planned:
-            return []
-        outcomes = self._engine.executor.map(
-            _execute_batch_refit, [entry.work for entry in planned]
+        return _fit_all(
+            [
+                _fit_request(
+                    entry.plan.family,
+                    entry.plan.curve,
+                    options=self._refit_options,
+                    **entry.plan.fit_kwargs,
+                )
+                for entry in planned
+            ]
         )
-        return [fit for _, fit in outcomes]
 
     def adopt_refits(
         self,
@@ -275,10 +240,10 @@ class ForecastSession:
     def refit_stale(self) -> dict[str, FitResult]:
         """Refit every stream whose policy says a refit is due.
 
-        The due streams' planned solves run as one batch on the shared
-        executor — each solve runs serially inside its work unit — and
-        the results are installed through each forecaster's normal
-        adoption path (counters, reselection). Results are keyed by
+        The due streams' planned solves run as one call of the fit core
+        (its per-stream solves on the shared executor), and the results
+        are installed through each forecaster's normal adoption path
+        (counters, reselection). Results are keyed by
         stream and identical to refitting each stream inline. Streams
         unregistered between planning and adoption are skipped (see
         :meth:`adopt_refits`).

@@ -12,18 +12,15 @@ near-boundary parameters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from repro._typing import ArrayLike, FloatArray
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError, FitError
-from repro.fitting.least_squares import fit_least_squares
+from repro.fitting.least_squares import _fit_request, _fit_requests
 from repro.fitting.options import DEFAULT_ENGINE_OPTIONS, EngineOptions
 from repro.fitting.result import FitResult
-from repro.models.base import ResilienceModel
-from repro.parallel import get_executor
 from repro.validation.intervals import ConfidenceBand
 
 __all__ = ["BootstrapResult", "residual_bootstrap"]
@@ -84,27 +81,6 @@ class BootstrapResult:
         )
 
 
-class _ReplicationWork(NamedTuple):
-    """Picklable work unit: one bootstrap refit."""
-
-    family: ResilienceModel
-    curve: ResilienceCurve
-    starts: tuple[tuple[float, ...], ...]
-    fit_kwargs: dict
-
-
-def _bootstrap_refit(work: _ReplicationWork) -> tuple[float, ...] | None:
-    """Refit one synthetic curve; ``None`` encodes convergence failure
-    (module-level so the process backend can pickle it)."""
-    try:
-        refit = fit_least_squares(
-            work.family, work.curve, starts=work.starts, **work.fit_kwargs
-        )
-    except ConvergenceError:
-        return None
-    return refit.model.params
-
-
 def residual_bootstrap(
     fit: FitResult,
     *,
@@ -123,10 +99,12 @@ def residual_bootstrap(
     replication set — and therefore the ensemble — is identical on
     every executor backend and worker count.
 
-    The replications run on ``options.executor``; each refit receives
-    the bundle, with caching off unless ``options.cache`` opts in
-    (resampled curves never repeat a cache key). *fit_kwargs* are
-    passed through to :func:`~repro.fitting.fit_least_squares`.
+    The refits are one fit-core call, whose per-replication solves run
+    on ``options.executor``; each refit receives the bundle, with
+    caching off unless ``options.cache`` opts in (resampled curves never
+    repeat a cache key). A refit that fails to converge is dropped.
+    *fit_kwargs* are passed through to
+    :func:`~repro.fitting.fit_least_squares`.
 
     Raises
     ------
@@ -138,30 +116,33 @@ def residual_bootstrap(
     opts = options or DEFAULT_ENGINE_OPTIONS
     if opts.cache is None:
         opts = opts.replace(cache=False)
-    refit_kwargs = {**fit_kwargs, "options": opts}
     curve = fit.curve
     predictions = fit.predict(curve.times)
     residuals = curve.performance - predictions
     rng = np.random.default_rng(seed)
 
-    starts = (fit.model.params,)
-    work_units = []
-    for _ in range(n_replications):
-        resampled = rng.choice(residuals, size=residuals.size, replace=True)
-        synthetic = ResilienceCurve(
+    synthetic = [
+        ResilienceCurve(
             curve.times,
-            predictions + resampled,
+            predictions + rng.choice(residuals, size=residuals.size, replace=True),
             nominal=curve.nominal,
             name=f"{curve.name}-boot",
         )
-        work_units.append(
-            _ReplicationWork(fit.model, synthetic, starts, refit_kwargs)
-        )
+        for _ in range(n_replications)
+    ]
+    starts = (fit.model.params,)
+    requests = [
+        _fit_request(fit.model, boot, options=opts, starts=starts, **fit_kwargs)  # type: ignore[arg-type]
+        for boot in synthetic
+    ]
 
-    outcomes = get_executor(opts.executor, max_workers=opts.n_workers).map(
-        _bootstrap_refit, work_units
-    )
-    samples = [params for params in outcomes if params is not None]
+    samples: list[tuple[float, ...]] = []
+    for refit in _fit_requests(requests):
+        if isinstance(refit, ConvergenceError):
+            continue
+        if isinstance(refit, FitError):
+            raise refit
+        samples.append(refit.model.params)
     failed = n_replications - len(samples)
 
     if failed > max_failure_fraction * n_replications:

@@ -89,7 +89,19 @@ def evaluate_predictive(
     """
     train, test = curve.train_test_split(train_fraction)
     fit = fit_least_squares(family, train, options=options, **fit_kwargs)  # type: ignore[arg-type]
+    return _score_fit(fit, curve, test, confidence=confidence)
 
+
+def _score_fit(
+    fit: FitResult,
+    curve: ResilienceCurve,
+    test: ResilienceCurve,
+    *,
+    confidence: float,
+) -> PredictiveEvaluation:
+    """The paper's four measures and the Eq. (13) band for a fit of the
+    prefix ``fit.curve`` of *curve*, held out on its *test* suffix."""
+    train = fit.curve
     train_pred = fit.predict(train.times)
     test_pred = fit.predict(test.times)
     full_pred = fit.predict(curve.times)

@@ -2,12 +2,13 @@
 
 The executor must be a pure performance knob: the same fits (bit for
 bit) must come back from the serial, thread, and process backends, at
-any worker count. The executor parallelizes grid cells only (the
-families of :func:`fit_many`, the episodes of a scorecard); a single
-fit always solves its starts in order. That hinges on two properties
-tested here — random starts are a pure function of ``(seed, index)``,
-and every reduction happens in input order — plus one pool per grid
-call, never one per cell.
+any worker count. The executor parallelizes the per-cell solves of
+one fit-core call (the families of :func:`fit_many`, the episodes of a
+scorecard); a single fit always solves its starts in order. That hinges
+on two properties tested here — random starts are a pure function of
+``(seed, index)``, and every reduction happens in input order — plus
+one pool per grid call, never one per cell, and one batched screen per
+grid.
 """
 
 import logging
@@ -16,14 +17,17 @@ import numpy as np
 import pytest
 
 import repro.parallel.executor as executor_module
-from repro.analysis.experiments import table1
+from repro.analysis.experiments import table1, table2, truncation_grid
 from repro.analysis.fleet import episode_scorecard
 from repro.core.curve import ResilienceCurve
 from repro.exceptions import ConvergenceError
-from repro.fitting.least_squares import fit_many
+from repro.fitting.least_squares import fit_least_squares, fit_many
 from repro.fitting.multistart import generate_starts
 from repro.fitting.options import EngineOptions
 from repro.models.registry import make_model
+from repro.serving.online import RefitPolicy
+from repro.serving.session import ForecastSession
+from repro.validation.bootstrap import residual_bootstrap
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -129,6 +133,77 @@ class TestNestedParallelism:
         assert len(table.cells) == 7
         assert len(pools) == 1
 
+    def test_table2_builds_one_pool(self, pools):
+        table = table2(n_random_starts=0, options=NO_CACHE)
+        assert len(table.reports) == 2
+        assert len(pools) == 1
+
+    def test_truncation_grid_builds_one_pool(self, pools):
+        grid = truncation_grid(
+            ("quadratic",),
+            fractions=(0.8, 0.9),
+            datasets=("1980", "1990-93"),
+            n_random_starts=0,
+            options=NO_CACHE,
+        )
+        assert len(grid.cells) == 2
+        assert len(pools) == 1
+
+    def test_episode_scorecard_builds_one_pool(self, pools, history):
+        card = episode_scorecard(
+            history, model="quadratic", n_random_starts=0, options=NO_CACHE
+        )
+        assert card.n_episodes == 2
+        assert len(pools) == 1
+
+    def test_residual_bootstrap_builds_one_pool(self, pools, recession_1990):
+        fit = fit_least_squares(
+            make_model("quadratic"), recession_1990, n_random_starts=0, options=NO_CACHE
+        )
+        assert pools == []  # a single fit builds none
+        result = residual_bootstrap(fit, n_replications=10, options=NO_CACHE)
+        assert result.n_requested == 10
+        assert len(pools) == 1
+
+    def test_refit_stale_builds_one_pool(self, pools, recession_1990):
+        session = ForecastSession(
+            options=NO_CACHE.replace(n_random_starts=0),
+            family="quadratic",
+            policy=RefitPolicy(every_k=1),
+        )
+        for key in ("a", "b"):
+            for t, p in zip(recession_1990.times[:8], recession_1990.performance[:8]):
+                session.observe(key, float(t), float(p))
+        assert sorted(session.refit_stale()) == ["a", "b"]
+        assert len(pools) == 1  # the session's own, resolved once
+
+    def test_single_fit_builds_none(self, pools, recession_1990):
+        fit_least_squares(
+            make_model("competing_risks"), recession_1990, n_random_starts=2,
+            options=NO_CACHE,
+        )
+        assert pools == []
+
+
+class TestOneScreenPerGrid:
+    def test_table1_makes_one_kernel_call(self, monkeypatch):
+        """Table I's fourteen cells share one batched screen."""
+        import repro.fitting.least_squares as least_squares
+
+        calls = []
+        solve_batched = least_squares.solve_batched
+
+        def counting(problems):
+            calls.append(len(problems))
+            return solve_batched(problems)
+
+        monkeypatch.setattr(least_squares, "solve_batched", counting)
+        table1(
+            n_random_starts=1,
+            options=NO_CACHE.replace(engine="batched", executor="serial"),
+        )
+        assert len(calls) == 1
+
 
 class TestStartStreamInvariance:
     def test_start_i_depends_only_on_seed_and_index(self, recession_1990):
@@ -159,14 +234,14 @@ class TestFitManyFailures:
         error message (and a warning log) instead of vanishing."""
         import repro.fitting.least_squares as ls
 
-        real = ls.fit_least_squares
+        real = ls._select_and_confirm
 
-        def flaky(family, curve, **kwargs):
+        def flaky(family, curve, *args, **kwargs):
             if family.name == "competing_risks":
                 raise ConvergenceError("forced failure")
-            return real(family, curve, **kwargs)
+            return real(family, curve, *args, **kwargs)
 
-        monkeypatch.setattr(ls, "fit_least_squares", flaky)
+        monkeypatch.setattr(ls, "_select_and_confirm", flaky)
         with caplog.at_level(logging.WARNING, logger="repro.fitting"):
             result = fit_many(
                 [make_model("quadratic"), make_model("competing_risks")],

@@ -220,6 +220,19 @@ class TestVerifier:
         assert outcome.candidate_holdout_sse < outcome.incumbent_holdout_sse
         assert outcome.adopted
 
+    def test_verifier_runs_the_session_engine(self):
+        """The verifier solves with every solver field of the session's
+        options, the engine included: on a batched session the adopted
+        fit reports the batched engine."""
+        session = make_session(options=EngineOptions(engine="batched", cache=False))
+        fitted_stream(session)
+        inject_drift(session)
+        loop = RemediationLoop(session, candidates=CANDIDATES)
+        [plan] = loop.plan()
+        outcome = execute_remediation(plan)
+        assert outcome.adopted
+        assert outcome.fit.engine == "batched"
+
 
 class TestEndToEnd:
     def test_injected_drift_is_reselected_and_beats_stale_fit(self):

@@ -125,7 +125,7 @@ class TestBatchRefit:
         session.observe("a", 7.0, 0.95)
         [planned] = session.refit_plans()
         assert planned.plan.kind == "warm"
-        assert len(planned.work.fit_kwargs["starts"]) == 1
+        assert len(planned.plan.fit_kwargs["starts"]) == 1
 
         screens = []
         solve_batched = least_squares.solve_batched
@@ -139,10 +139,10 @@ class TestBatchRefit:
         assert fit.engine == "batched"
 
         reference = fit_least_squares(
-            planned.work.family,
-            planned.work.curve,
+            planned.plan.family,
+            planned.plan.curve,
             options=OPTIONS.replace(engine="scipy"),
-            **planned.work.fit_kwargs,
+            **planned.plan.fit_kwargs,
         )
         assert fit.model.params == reference.model.params
         assert fit.sse == reference.sse
@@ -241,14 +241,14 @@ class TestConcurrentMutation:
 
         started = threading.Event()
         release = threading.Event()
-        original = session_module._execute_batch_refit
+        original = session_module._fit_all
 
-        def gated(work):
+        def gated(requests):
             started.set()
             assert release.wait(timeout=30)
-            return original(work)
+            return original(requests)
 
-        monkeypatch.setattr(session_module, "_execute_batch_refit", gated)
+        monkeypatch.setattr(session_module, "_fit_all", gated)
 
         results = {}
         errors = []
